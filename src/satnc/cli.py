@@ -206,7 +206,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
                     "optimal": result.optimal,
                     "nodes_explored": result.nodes_explored,
                     "budget_hit": result.wall_budget_hit,
-                    "warnings": list(result.warnings),
                     "plan": [
                         {
                             "flow": a.flow.label,
@@ -221,8 +220,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return 0
     flag = "optimal" if result.optimal else "not proven optimal"
     print(f"accepted: {result.accepted_count} ({flag})")
-    for warning in result.warnings:
-        print(f"warning: {warning}")
     for a in result.plan.assignments:
         print(f"flow {a.flow.label} copy {a.copy + 1}: {' '.join(a.path)}")
     _print_loads(inst, result.plan)

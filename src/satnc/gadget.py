@@ -175,6 +175,15 @@ class NcInstance:
             counts[info.subset] = counts.get(info.subset, 0) + 1
         return counts
 
+    @cached_property
+    def pairs_by_clause(self) -> Mapping[int, tuple[ConflictPair, ...]]:
+        """Conflict pairs with an occurrence in each clause, in pair order."""
+        index: dict[int, list[ConflictPair]] = {}
+        for pair in self.conflicts:
+            for clause in (pair.pos[0], pair.neg[0]):
+                index.setdefault(clause, []).append(pair)
+        return {i: tuple(pairs) for i, pairs in index.items()}
+
     @property
     def clause_count(self) -> int:
         if self.formula is None:
@@ -374,7 +383,7 @@ def classify_path(inst: NcInstance, p: Path) -> PathClassification:
     loads = hops_load(net, _preload_hops(inst) + list(zip(p, p[1:])))
     overloads = tuple(
         Overload(v, loads[v], net.capacity_of(v))
-        for v in sorted(net.nodes)
+        for v in sorted(loads)
         if loads[v] > net.capacity_of(v)
     )
     if overloads:
@@ -429,10 +438,6 @@ def _clause_context(inst: NcInstance, i: int) -> tuple[list[Hop], list[Hop]]:
     return pre, post
 
 
-def _pairs_touching(inst: NcInstance, i: int) -> list[ConflictPair]:
-    return [p for p in inst.conflicts if i in (p.pos[0], p.neg[0])]
-
-
 def audit(inst: NcInstance) -> AuditReport:
     """Check the gadget's blocking arithmetic clause by clause.
 
@@ -453,7 +458,7 @@ def audit(inst: NcInstance) -> AuditReport:
         watch = [entry_id(i), exit_id(i), bypass_id(i), preload_src_id(i)]
         for j in range(1, len(clause) + 1):
             watch += [prelit_id(i, j), lit_id(i, j), postlit_id(i, j)]
-        watch += [conflict_id(p.index) for p in _pairs_touching(inst, i)]
+        watch += [conflict_id(p.index) for p in inst.pairs_by_clause.get(i, ())]
         if i == inst.clause_count:
             watch.append(TERMINAL)
 
@@ -463,7 +468,7 @@ def audit(inst: NcInstance) -> AuditReport:
             hops = preload + pre + list(zip(seg, seg[1:])) + post
             loads = hops_load(net, hops)
             for v in watch:
-                margin = cap[v] - loads[v]
+                margin = cap[v] - loads.get(v, 0)
                 subset = inst.subset_of(v)
                 margins[subset] = min(margins.get(subset, margin), margin)
                 if margin < 0:
@@ -473,23 +478,23 @@ def audit(inst: NcInstance) -> AuditReport:
 
         route = [entry_id(i), bypass_id(i), exit_id(i)]
         loads = hops_load(net, preload + pre + list(zip(route, route[1:])) + post)
-        bypass_blocked = loads[bypass_id(i)] > cap[bypass_id(i)]
+        bypass_blocked = loads.get(bypass_id(i), 0) > cap[bypass_id(i)]
         if not bypass_blocked:
             failures.append(f"clause {i}: bypass not blocked")
 
         conflict_blocked = True
         through_blocked = True
-        for pair in _pairs_touching(inst, i):
+        for pair in inst.pairs_by_clause.get(i, ()):
             k = conflict_id(pair.index)
             la, lb = lit_id(*pair.pos), lit_id(*pair.neg)
             both_tx = hops_load(
                 net, [(la, prelit_id(*pair.pos)), (lb, prelit_id(*pair.neg))]
             )
-            if both_tx[k] <= cap[k]:
+            if both_tx.get(k, 0) <= cap[k]:
                 conflict_blocked = False
                 failures.append(f"clause {i}: conflict not blocked ({k})")
             through = hops_load(net, [(la, k), (k, lb)])
-            if through[k] <= cap[k]:
+            if through.get(k, 0) <= cap[k]:
                 through_blocked = False
                 failures.append(f"clause {i}: conflict through-route not blocked ({k})")
 
@@ -530,11 +535,11 @@ def traversable_clauses(inst: NcInstance, a: Assignment) -> int:
         if not trues:
             continue
         nodes = set(clause_segment(i, trues))
-        for pair in _pairs_touching(inst, i):
+        for pair in inst.pairs_by_clause.get(i, ()):
             if (pair.pos[0] == i and pair.pos[1] in trues) or (
                 pair.neg[0] == i and pair.neg[1] in trues
             ):
                 nodes.add(conflict_id(pair.index))
-        if all(loads[v] <= cap[v] for v in nodes):
+        if all(loads.get(v, 0) <= cap[v] for v in nodes):
             count += 1
     return count

@@ -48,34 +48,79 @@ def instance_to_dict(inst: NcInstance) -> dict:
     }
 
 
+_NODE_FIELDS = {
+    "id": str,
+    "paper_index": (str, type(None)),
+    "subset": str,
+    "capacity": int,
+}
+_FLOW_FIELDS = {"src": str, "dst": str, "copies": (int, str), "label": str}
+
+
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise ValueError(f"malformed instance: {what}")
+
+
+def _records(data: dict, key: str, fields: dict) -> list:
+    """The list under ``key``, each item an object with the typed fields."""
+    items = data.get(key)
+    _require(isinstance(items, list), f"{key!r} must be a list")
+    for item in items:
+        _require(
+            isinstance(item, dict)
+            and all(isinstance(item.get(f, ...), kind) for f, kind in fields.items()),
+            f"each of {key!r} must be an object with fields {', '.join(fields)}",
+        )
+    return items
+
+
 def instance_from_dict(data: dict) -> NcInstance:
+    """Rebuild an instance; raises ValueError on any malformed shape."""
+    _require(isinstance(data, dict), "the top level must be an object")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(
             f"unsupported schema_version {data.get('schema_version')!r}"
         )
+    nodes = _records(data, "nodes", _NODE_FIELDS)
+    flows = _records(data, "flows", _FLOW_FIELDS)
+    _require(
+        all(isinstance(f["copies"], int) or f["copies"] == "unbounded" for f in flows),
+        'flow copies must be an integer or "unbounded"',
+    )
+    edges = data.get("edges")
+    _require(
+        isinstance(edges, list)
+        and all(
+            isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e)
+            for e in edges
+        ),
+        "'edges' must be a list of node-id pairs",
+    )
+    formula_text = data.get("formula")
+    _require(isinstance(formula_text, (str, type(None))), "'formula' must be a string")
     table = tuple(
-        NodeInfo(n["id"], n["paper_index"], n["subset"], n["capacity"])
-        for n in data["nodes"]
+        NodeInfo(n["id"], n["paper_index"], n["subset"], n["capacity"]) for n in nodes
     )
     network = Network(
         (n.id for n in table),
-        (tuple(e) for e in data["edges"]),
+        (tuple(e) for e in edges),
         {n.id: n.capacity for n in table},
     )
-    flows = tuple(
+    requests = tuple(
         FlowRequest(
             f["src"],
             f["dst"],
             None if f["copies"] == "unbounded" else f["copies"],
             f["label"],
         )
-        for f in data["flows"]
+        for f in flows
     )
-    formula = parse_dimacs(data["formula"]) if data.get("formula") else None
+    formula = parse_dimacs(formula_text) if formula_text else None
     conflicts: tuple[ConflictPair, ...] = ()
     if formula is not None:
         conflicts = conflict_pairs(formula)
-    return NcInstance(network, flows, table, formula, conflicts)
+    return NcInstance(network, requests, table, formula, conflicts)
 
 
 def dumps_instance(inst: NcInstance) -> str:

@@ -214,12 +214,14 @@ def validate_path(net: Network, p: Path) -> None:
 
 
 def hops_load(net: Network, hops: Iterable[Hop]) -> LoadMap:
-    """Accumulated load from a bag of hops; hops are assumed edge-valid."""
-    loads = dict.fromkeys(net.nodes, 0)
+    """Accumulated load from a bag of hops; hops are assumed edge-valid.
+
+    Sparse: only nodes the hops touch appear, so read it with ``.get(v, 0)``.
+    """
+    loads: LoadMap = {}
     for u, _ in hops:
-        loads[u] += 1
-        for w in net.adjacency(u):
-            loads[w] += 1
+        for w in (u, *net.adjacency(u)):
+            loads[w] = loads.get(w, 0) + 1
     return loads
 
 
@@ -230,7 +232,9 @@ def path_load(net: Network, p: Path) -> LoadMap:
     path of zero or one nodes carries no hops and loads nothing.
     """
     validate_path(net, p)
-    return hops_load(net, zip(p, p[1:]))
+    loads = dict.fromkeys(net.nodes, 0)
+    loads.update(hops_load(net, zip(p, p[1:])))
+    return loads
 
 
 def plan_load(net: Network, plan: RoutePlan) -> LoadMap:
@@ -253,11 +257,11 @@ def check_feasible(net: Network, plan: RoutePlan) -> FeasibilityVerdict:
     loads = dict.fromkeys(net.nodes, 0)
     for idx, a in enumerate(plan.assignments):
         try:
-            contribution = path_load(net, a.path)
+            validate_path(net, a.path)
         except ValueError as exc:
             defects.append(PathDefect(idx, str(exc)))
             continue
-        for v, n in contribution.items():
+        for v, n in hops_load(net, zip(a.path, a.path[1:])).items():
             loads[v] += n
     overloads = tuple(
         Overload(v, loads[v], net.capacity_of(v))

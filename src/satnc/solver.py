@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator, Mapping
 
 from .gadget import NcInstance
 from .model import Network, Path, RouteAssignment, RoutePlan
 
 DEFAULT_NODE_BUDGET = 10_000_000
-DEFAULT_PATH_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -17,18 +20,97 @@ class SolveResult:
     accepted_count: int
     plan: RoutePlan
     optimal: bool
-    nodes_explored: int
-    wall_budget_hit: bool
-    warnings: tuple[str, ...] = ()
+    nodes_explored: int = 0
+    wall_budget_hit: bool = False
 
 
 class _Stop(Exception):
     pass
 
 
-def _tx_sets(net: Network) -> dict[str, tuple[str, ...]]:
-    # Everything a transmission from v loads: v plus its whole neighborhood.
-    return {v: (v, *net.adjacency(v)) for v in net.nodes}
+class _Router:
+    """Elementary s-t paths of one network, searched on demand."""
+
+    def __init__(self, net: Network, caps: Mapping[str, float]) -> None:
+        self.adj = {v: sorted(net.adjacency(v)) for v in net.nodes}
+        # Everything a transmission from v loads: v plus its whole neighborhood.
+        self.tx = {v: (v, *net.adjacency(v)) for v in net.nodes}
+        self.caps = caps
+        self.hops_to: dict[str, dict[str, int]] = {}  # per target, filled on use
+
+    def paths(
+        self,
+        s: str,
+        t: str,
+        load: Mapping[str, int],
+        floor: Path = (),
+        max_hops: int | None = None,
+    ) -> Iterator[tuple[Path, dict[str, int]]]:
+        """Yield ``(path, load delta)`` for each path that fits on top of
+        ``load``, in lexicographic order of node ids, from ``floor`` on and
+        with at most ``max_hops`` hops.
+
+        Depth-first without recursion.  A prefix is cut once some node's
+        ``load`` plus the prefix's own load exceeds its capacity (a path's
+        load depends only on its transmitters, so this is a lower bound), or
+        once its hops plus the distance left to ``t`` exceed ``max_hops``.
+        ``load`` is read live: a caller may change it between resumptions
+        if it restores it first.  The delta may list nodes with 0.
+        """
+        adj, tx, caps = self.adj, self.tx, self.caps
+        dist = self.hops_to.get(t)
+        if dist is None:
+            dist = self.hops_to[t] = {t: 0}
+            queue = [t]
+            for u in queue:  # breadth first; the queue grows as it is read
+                for w in adj[u]:
+                    if w not in dist:
+                        dist[w] = dist[u] + 1
+                        queue.append(w)
+        max_hops = len(adj) if max_hops is None else max_hops
+        own: dict[str, int] = {}
+
+        def fits(u: str) -> bool:
+            for v in tx[u]:
+                if load[v] + own.get(v, 0) >= caps[v]:
+                    return False
+            for v in tx[u]:
+                own[v] = own.get(v, 0) + 1
+            return True
+
+        if not fits(s):
+            return
+        trail = [s]
+        on_trail = {s}
+        tight = 1 if floor else 0  # leading trail nodes equal to the floor's
+        nxt = [adj[s].index(floor[1]) if floor else 0]
+        while trail:
+            u = trail[-1]
+            i = nxt[-1]
+            kids = adj[u]
+            if i == len(kids):
+                trail.pop()
+                on_trail.discard(u)
+                nxt.pop()
+                tight = min(tight, len(trail))
+                for v in tx[u]:
+                    own[v] -= 1
+                continue
+            nxt[-1] = i + 1
+            w = kids[i]
+            if w == t:
+                yield (*trail, t), dict(own)
+            elif (
+                w not in on_trail
+                and len(trail) + dist.get(w, max_hops) <= max_hops
+                and fits(w)
+            ):
+                if tight == len(trail) and floor[tight] == w:
+                    tight += 1
+                trail.append(w)
+                on_trail.add(w)
+                # While the trail follows the floor, resume at the floor's child.
+                nxt.append(adj[w].index(floor[tight]) if tight == len(trail) else 0)
 
 
 def enum_paths(
@@ -36,130 +118,64 @@ def enum_paths(
     s: str,
     t: str,
     budget: dict[str, int] | None = None,
-    limit: int = DEFAULT_PATH_LIMIT,
+    limit: int | None = None,
 ) -> tuple[list[Path], bool]:
-    """All elementary s-t paths whose own load fits the per-node budget.
-
-    Depth-first with ascending neighbor ids, pruning a prefix as soon as
-    any node's accumulated load exceeds its budget (prefix load is a lower
-    bound on the full path's load).  Returns at most ``limit`` paths plus
-    a flag telling whether the enumeration was truncated.
-    """
+    """Elementary s-t paths whose own load fits the per-node budget (nodes
+    missing from it are unconstrained), in lexicographic order: at most
+    ``limit`` of them, plus a flag telling whether more were left out."""
     if s == t:
         raise ValueError("source equals destination")
     net._require(s)
     net._require(t)
-    adj_sorted = {v: sorted(net.adjacency(v)) for v in net.nodes}
-    tx = _tx_sets(net)
-    loads = dict.fromkeys(net.nodes, 0)
-    paths: list[Path] = []
-    truncated = False
-    trail: list[str] = [s]
-    on_trail = {s}
-
-    def dfs(u: str) -> None:
-        nonlocal truncated
-        if u == t:
-            if len(paths) >= limit:
-                truncated = True
-                raise _Stop
-            paths.append(tuple(trail))
-            return
-        for v in tx[u]:
-            loads[v] += 1
-        try:
-            if budget is None or all(
-                v not in budget or loads[v] <= budget[v] for v in tx[u]
-            ):
-                for w in adj_sorted[u]:
-                    if w in on_trail:
-                        continue
-                    trail.append(w)
-                    on_trail.add(w)
-                    try:
-                        dfs(w)
-                    finally:
-                        trail.pop()
-                        on_trail.discard(w)
-        finally:
-            for v in tx[u]:
-                loads[v] -= 1
-
-    try:
-        dfs(s)
-    except _Stop:
-        pass
-    return paths, truncated
+    caps = {v: (budget or {}).get(v, math.inf) for v in net.nodes}
+    found = (p for p, _ in _Router(net, caps).paths(s, t, dict.fromkeys(net.nodes, 0)))
+    paths = list(itertools.islice(found, limit))
+    return paths, next(found, None) is not None
 
 
-def _effective_copies(inst: NcInstance, unlimited_cap: int | None) -> list[int]:
-    # Unbounded demands are searched up to a finite cap; by default one
-    # more copy than there are demands, which is enough to witness the
-    # optimum on compiled instances.
-    if unlimited_cap is None:
-        unlimited_cap = len(inst.flows) + 1
-    return [f.copies if f.copies is not None else unlimited_cap for f in inst.flows]
+def _effective_copies(inst: NcInstance) -> list[int]:
+    # Every copy loads its source and its destination by at least one, so
+    # an unbounded demand never has more copies than those capacities allow.
+    caps = inst.network.capacity
+    return [
+        f.copies if f.copies is not None else min(caps[f.src], caps[f.dst])
+        for f in inst.flows
+    ]
 
 
-def _path_delta(tx: dict[str, tuple[str, ...]], path: Path) -> dict[str, int]:
-    delta: dict[str, int] = {}
-    for u in path[:-1]:
-        for v in tx[u]:
-            delta[v] = delta.get(v, 0) + 1
-    return delta
-
-
-def solve_exact(
-    inst: NcInstance,
-    budget: int = DEFAULT_NODE_BUDGET,
-    unlimited_cap: int | None = None,
-    path_limit: int = DEFAULT_PATH_LIMIT,
-) -> SolveResult:
+def solve_exact(inst: NcInstance, budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
     """Maximize the number of accepted copies by branch and bound.
 
     Flows are considered in demand order, but acceptance subsets are
     searched: any copy may be rejected if that lets later flows through.
-    Branches are cut with an admissible bound from the remaining copy
-    supply, capped per flow by how many copies the residual capacity at
-    its endpoints could still carry.  The result is optimal unless the
-    node budget ran out or path enumeration was truncated.
+    Each branch searches paths on demand under its residual capacity, and
+    copies of one flow take non-decreasing paths.  Branches are cut with an
+    admissible bound from the remaining copy supply, capped per flow by how
+    many copies the residual capacity at its endpoints could still carry.
+    The result is optimal unless the node budget ran out.
     """
     net = inst.network
     caps = dict(net.capacity)
-    tx = _tx_sets(net)
-    copies = _effective_copies(inst, unlimited_cap)
-    warnings: list[str] = []
-
-    candidates: list[list[Path]] = []
-    deltas: list[list[dict[str, int]]] = []
-    min_src: list[int] = []
-    min_dst: list[int] = []
-    for flow in inst.flows:
-        paths, truncated = enum_paths(net, flow.src, flow.dst, dict(caps), path_limit)
-        if truncated:
-            warnings.append(f"path enumeration truncated for flow {flow.label!r}")
-        candidates.append(paths)
-        ds = [_path_delta(tx, p) for p in paths]
-        deltas.append(ds)
-        min_src.append(min((d[flow.src] for d in ds), default=1))
-        min_dst.append(min((d[flow.dst] for d in ds), default=1))
-
+    router = _Router(net, caps)
+    copies = _effective_copies(inst)
     load = dict.fromkeys(net.nodes, 0)
+    # Each flow's first path at the root, None when it has no path at all.
+    root_path = [next(router.paths(f.src, f.dst, load), None) for f in inst.flows]
+    # A copy loads its source twice unless s-t is one hop: the second
+    # transmitter is in the source's range.  Its destination hears one.
+    min_src = [1 if net.has_edge(f.src, f.dst) else 2 for f in inst.flows]
     plan: list[RouteAssignment] = []
     best_count = -1
     best_plan: tuple[RouteAssignment, ...] = ()
     explored = 0
-    budget_hit = False
 
     def endpoint_ub(fi: int) -> int:
-        if not candidates[fi]:
-            return 0
         flow = inst.flows[fi]
         room_src = caps[flow.src] - load[flow.src]
         room_dst = caps[flow.dst] - load[flow.dst]
-        if room_src <= 0 or room_dst <= 0:
+        if root_path[fi] is None or room_src <= 0 or room_dst <= 0:
             return 0
-        return min(room_src // min_src[fi], room_dst // min_dst[fi])
+        return min(room_src // min_src[fi], room_dst)
 
     def supply_bound(fi: int, ci: int) -> int:
         total = min(copies[fi] - ci, endpoint_ub(fi))
@@ -167,7 +183,7 @@ def solve_exact(
             total += min(copies[g], endpoint_ub(g))
         return total
 
-    def descend(fi: int, ci: int, min_cand: int, accepted: int) -> None:
+    def descend(fi: int, ci: int, floor: Path, accepted: int) -> None:
         nonlocal best_count, best_plan, explored
         explored += 1
         if explored > budget:
@@ -179,77 +195,56 @@ def solve_exact(
             return
         if accepted + supply_bound(fi, ci) <= best_count:
             return
-        if ci >= copies[fi]:
-            descend(fi + 1, 0, 0, accepted)
-            return
-        for idx in range(min_cand, len(candidates[fi])):
-            delta = deltas[fi][idx]
-            if any(load[v] + n > caps[v] for v, n in delta.items()):
-                continue
+        flow = inst.flows[fi]
+        # The search reads ``load`` live; it is restored before each resumption.
+        paths = router.paths(flow.src, flow.dst, load, floor) if ci < copies[fi] else ()
+        for path, delta in paths:
             for v, n in delta.items():
                 load[v] += n
-            plan.append(RouteAssignment(inst.flows[fi], ci, candidates[fi][idx]))
-            try:
-                descend(fi, ci + 1, idx, accepted + 1)
-            finally:
-                plan.pop()
-                for v, n in delta.items():
-                    load[v] -= n
+            plan.append(RouteAssignment(flow, ci, path))
+            descend(fi, ci + 1, path, accepted + 1)
+            plan.pop()
+            for v, n in delta.items():
+                load[v] -= n
             if accepted + supply_bound(fi, ci) <= best_count:
                 break
         # stop routing this flow here and move on
-        descend(fi + 1, 0, 0, accepted)
+        descend(fi + 1, 0, (), accepted)
 
-    try:
-        descend(0, 0, 0, 0)
-    except _Stop:
-        budget_hit = True
-
+    with contextlib.suppress(_Stop):
+        descend(0, 0, (), 0)
     return SolveResult(
-        accepted_count=best_count if best_count >= 0 else 0,
+        accepted_count=max(best_count, 0),
         plan=RoutePlan(best_plan),
-        optimal=not budget_hit and not warnings,
+        optimal=explored <= budget,
         nodes_explored=explored,
-        wall_budget_hit=budget_hit,
-        warnings=tuple(warnings),
+        wall_budget_hit=explored > budget,
     )
 
 
-def solve_greedy(
-    inst: NcInstance,
-    unlimited_cap: int | None = None,
-    path_limit: int = DEFAULT_PATH_LIMIT,
-) -> SolveResult:
+def solve_greedy(inst: NcInstance) -> SolveResult:
     """Admit copies in demand order, each over the feasible path with the
     fewest hops (node ids break ties); a demand stops at its first
     rejection.  Never certified optimal."""
     net = inst.network
-    caps = dict(net.capacity)
-    tx = _tx_sets(net)
-    copies = _effective_copies(inst, unlimited_cap)
-    warnings: list[str] = []
+    router = _Router(net, dict(net.capacity))
     load = dict.fromkeys(net.nodes, 0)
     plan: list[RouteAssignment] = []
-    for fi, flow in enumerate(inst.flows):
-        for ci in range(copies[fi]):
-            remaining = {v: caps[v] - load[v] for v in net.nodes}
-            paths, truncated = enum_paths(net, flow.src, flow.dst, remaining, path_limit)
-            if truncated:
-                warnings.append(f"path enumeration truncated for flow {flow.label!r}")
-            if not paths:
+    for flow, copies in zip(inst.flows, _effective_copies(inst)):
+        for ci in range(copies):
+            # Deepening on hop count: the first path at the smallest depth
+            # is the shortest one, lexicographically first among its peers.
+            tries = (
+                next(router.paths(flow.src, flow.dst, load, max_hops=hops), None)
+                for hops in range(1, len(net.nodes))
+            )
+            found = next(filter(None, tries), None)
+            if found is None:
                 break
-            choice = min(paths, key=lambda p: (len(p), p))
-            for v, n in _path_delta(tx, choice).items():
+            for v, n in found[1].items():
                 load[v] += n
-            plan.append(RouteAssignment(flow, ci, choice))
-    return SolveResult(
-        accepted_count=len(plan),
-        plan=RoutePlan(tuple(plan)),
-        optimal=False,
-        nodes_explored=0,
-        wall_budget_hit=False,
-        warnings=tuple(warnings),
-    )
+            plan.append(RouteAssignment(flow, ci, found[0]))
+    return SolveResult(len(plan), RoutePlan(tuple(plan)), optimal=False)
 
 
 def inapprox_bound(k: int) -> Fraction:

@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 try:
     import tomllib
@@ -16,9 +18,9 @@ except ModuleNotFoundError:  # Python 3.10; pytest depends on tomli there
     import tomli as tomllib
 
 import satnc
-from satnc import load_instance
+from satnc import Formula, compile_formula, instance_to_dict, load_instance
 from satnc.cli import main
-from conftest import BROKEN_PATH_RAW, FIXTURES
+from conftest import BROKEN_PATH_RAW, FIXTURES, WORKED_CLAUSES
 
 A1_LITERALS = "1 2 3 -4 -5 -6"
 A2_LITERALS = "1 2 3 4 -5 -6"
@@ -144,6 +146,82 @@ class TestSolve:
         assert greedy["accepted"] == 1 and exact["accepted"] == 3
 
 
+def _worked_dict() -> dict:
+    return instance_to_dict(compile_formula(Formula.from_clauses(6, WORKED_CLAUSES)))
+
+
+def _malformed_cases() -> dict[str, object]:
+    cases: dict[str, object] = {
+        "top level a list": [1, 2],
+        "nodes an int": {"schema_version": 1, "nodes": 5},
+    }
+    for key in ("nodes", "edges", "flows"):
+        data = _worked_dict()
+        del data[key]
+        cases[f"missing {key}"] = data
+        data = _worked_dict()
+        data[key] = {"not": "a list"}
+        cases[f"{key} not a list"] = data
+    for edge in (["E1"], ["E1", "B1", "X1"], "E1-B1", [["E1"], "B1"]):
+        data = _worked_dict()
+        data["edges"][0] = edge
+        cases[f"edge {edge!r}"] = data
+    data = _worked_dict()
+    data["nodes"][0] = "E1"
+    cases["node not an object"] = data
+    data = _worked_dict()
+    data["flows"][0]["copies"] = "many"
+    cases["copies a word"] = data
+    return cases
+
+
+class TestMalformedInstance:
+    @pytest.mark.parametrize("name", sorted(_malformed_cases()))
+    @pytest.mark.parametrize(
+        "command",
+        [["solve", "--mode", "exact"], ["check", "--path", "E1,B1"]],
+        ids=["solve", "check"],
+    )
+    def test_exit_2_without_traceback(self, tmp_path, capsys, name, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_malformed_cases()[name]))
+        code = main([command[0], "--instance", str(bad), *command[1:]])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.sampled_from(["E1", "B1", ""]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["id", "src", "x"]), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@given(
+    st.sampled_from(["nodes", "edges", "flows", "formula", "schema_version"]),
+    st.integers(0, 200),
+    _JSON_VALUES,
+)
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_fuzzed_instance_keeps_exit_contract(tmp_path, capsys, key, index, value):
+    data = _worked_dict()
+    if isinstance(data[key], list) and data[key]:
+        data[key][index % len(data[key])] = value
+    else:
+        data[key] = value
+    bad = tmp_path / "fuzz.json"
+    bad.write_text(json.dumps(data))
+    code = main(["check", "--instance", str(bad), "--path", "E1,B1,X1"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 class TestVerify:
     def test_zero_trials_ok(self, capsys):
         code = main(
@@ -172,6 +250,22 @@ class TestVerify:
         main(args)
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize(
+        ("fixture", "args"),
+        [
+            ("verify_4_3_3_seed1.json", ["4", "3", "3", "1"]),
+            ("verify_3_7_2_seed2.json", ["3", "7", "2", "2"]),
+        ],
+    )
+    def test_matches_golden_report(self, capsys, fixture, args):
+        # The fixtures hold reports written before the solver searched paths
+        # on demand; the report must not drift byte for byte.
+        n, m, k, seed = args
+        code = main(["verify", "--vars", n, "--clauses", m, "--k", k,
+                     "--trials", "30", "--seed", seed, "--json"])
+        assert code == 0
+        assert capsys.readouterr().out == (FIXTURES / fixture).read_text()
 
     def test_corrupted_capacities_fail_audit(self, capsys, tmp_path):
         code = main(

@@ -64,6 +64,13 @@ class TestEnumPaths:
         paths, _ = enum_paths(net, "A", "B", budget)
         assert paths == []
 
+    def test_long_compiled_path_without_recursion(self):
+        # 600 clauses put the terminal about 1,800 hops from the entry.
+        inst = compile_formula(Formula.from_clauses(3, [(1, 2, 3)] * 600))
+        paths, truncated = enum_paths(inst.network, "E1", "T", limit=1)
+        assert len(paths) == 1 and truncated
+        assert paths[0][0] == "E1" and paths[0][-1] == "T"
+
     def test_zero_capacity_neighbor_blocks_transmission(self):
         # C never appears on the path but hears A transmit.
         net = make_network(
@@ -86,6 +93,14 @@ class TestSolveExact:
         inst = demand_instance(net, [("A", "C", None)])
         result = solve_exact(inst)
         assert result.accepted_count == 2 and result.optimal
+
+    def test_unbounded_copies_capped_by_capacity(self):
+        # Each copy of a one-hop flow loads a and b by one, so ten fit.
+        net = make_network(["a", "b"], [("a", "b")], 10)
+        inst = demand_instance(net, [("a", "b", None)])
+        result = solve_exact(inst)
+        assert result.accepted_count == 10 and result.optimal
+        assert check_feasible(net, result.plan).ok
 
     def test_compiled_single_clause(self):
         inst = compile_formula(Formula.from_clauses(2, [(1, -2)]))
@@ -201,6 +216,25 @@ def test_exact_matches_exhaustive_oracle(seed):
     result = solve_exact(inst)
     assert result.optimal
     expected = naive_best_accept(net.nodes, net.edges(), dict(net.capacity), demands)
+    assert result.accepted_count == expected
+
+
+@given(st.integers(0, 100_000))
+@settings(max_examples=25, deadline=None)
+def test_exact_unbounded_matches_oracle(seed):
+    # The oracle gets one copy more than any capacity, so it can see a
+    # copy cap that is too low.
+    rng = random.Random(seed)
+    net = random_connected_network(rng, rng.randint(2, 5), cap_range=(2, 5))
+    demands = [
+        (*rng.sample(net.nodes, 2), rng.choice([None, 1]))
+        for _ in range(rng.randint(1, 2))
+    ]
+    result = solve_exact(demand_instance(net, demands))
+    assert result.optimal
+    spare = max(net.capacity.values()) + 1
+    finite = [(s, t, c or spare) for s, t, c in demands]
+    expected = naive_best_accept(net.nodes, net.edges(), dict(net.capacity), finite)
     assert result.accepted_count == expected
 
 
