@@ -205,7 +205,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                     "accepted": result.accepted_count,
                     "optimal": result.optimal,
                     "nodes_explored": result.nodes_explored,
-                    "budget_hit": result.wall_budget_hit,
+                    "budget_hit": result.budget_hit,
                     "plan": [
                         {
                             "flow": a.flow.label,
@@ -270,6 +270,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         for r in report.records:
             nc = str(r.nc_accepted) if r.solver_optimal else f"{r.nc_accepted}?"
+            # max=: the admission optimum with main required, less main, over
+            # the MAX-SAT optimum.
             print(
                 f"trial {r.index:03d}: seed={r.seed} n={r.var_count} "
                 f"m={r.clause_count} k={r.k} "

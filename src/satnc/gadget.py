@@ -353,6 +353,34 @@ def preload_plan(inst: NcInstance) -> RoutePlan:
     )
 
 
+def assignment_plan(inst: NcInstance, a: Assignment) -> RoutePlan:
+    """The plan a total assignment induces: the preload of every clause it
+    satisfies, plus the main flow crossing each satisfied clause through its
+    true literals and each unsatisfied one over the freed bypass.
+
+    It accepts 1 + (satisfied clauses) copies and, under the default
+    capacities, is feasible for every assignment.
+    """
+    formula = _require_compiled(inst)
+    _require_total(formula, a)
+    m = len(formula.clauses)
+    main = [entry_id(1)]
+    routed: list[RouteAssignment] = []
+    for i, clause in enumerate(formula.clauses, 1):
+        trues = true_positions(clause, a)
+        if trues:
+            main.extend(clause_segment(i, trues)[1:])
+            flow = inst.flows[i - 1]
+            routed.append(RouteAssignment(flow, 0, (flow.src, flow.dst)))
+        else:
+            main.extend([bypass_id(i), exit_id(i)])
+        if i < m:
+            main.append(entry_id(i + 1))
+    main.append(TERMINAL)
+    routed.append(RouteAssignment(inst.flows[-1], 0, tuple(main)))
+    return RoutePlan(tuple(routed))
+
+
 def _preload_hops(inst: NcInstance) -> list[Hop]:
     return [(flow.src, flow.dst) for flow in inst.flows[:-1]]
 
@@ -502,44 +530,3 @@ def audit(inst: NcInstance) -> AuditReport:
             ClauseAudit(i, margins, bypass_blocked, conflict_blocked, through_blocked)
         )
     return AuditReport(tuple(records), tuple(failures))
-
-
-def traversable_clauses(inst: NcInstance, a: Assignment) -> int:
-    """Clauses whose induced segment exists and stays within capacity.
-
-    The main walk crosses satisfied clauses through their true literals
-    and unsatisfied ones over the bypass; a clause counts when its segment
-    nodes and their conflict neighbors carry no overload under the walk
-    plus all preloads.
-    """
-    formula = _require_compiled(inst)
-    _require_total(formula, a)
-    net = inst.network
-    m = len(formula.clauses)
-    walk = [entry_id(1)]
-    trues_by_clause: list[tuple[int, ...]] = []
-    for i, clause in enumerate(formula.clauses, 1):
-        trues = true_positions(clause, a)
-        trues_by_clause.append(trues)
-        if trues:
-            walk.extend(clause_segment(i, trues)[1:])
-        else:
-            walk.extend([bypass_id(i), exit_id(i)])
-        if i < m:
-            walk.append(entry_id(i + 1))
-    walk.append(TERMINAL)
-    loads = hops_load(net, _preload_hops(inst) + list(zip(walk, walk[1:])))
-    cap = net.capacity
-    count = 0
-    for i, trues in enumerate(trues_by_clause, 1):
-        if not trues:
-            continue
-        nodes = set(clause_segment(i, trues))
-        for pair in inst.pairs_by_clause.get(i, ()):
-            if (pair.pos[0] == i and pair.pos[1] in trues) or (
-                pair.neg[0] == i and pair.neg[1] in trues
-            ):
-                nodes.add(conflict_id(pair.index))
-        if all(loads.get(v, 0) <= cap[v] for v in nodes):
-            count += 1
-    return count

@@ -1,12 +1,13 @@
 """End-to-end verification: random formulas, dual oracles, agreement records.
 
 For each trial a random formula is compiled; the satisfiability side is
-settled by the exhaustive SAT oracle and the network side by the exact
-admission solver.  The two agree when the admission optimum is m+1 on
-satisfiable formulas (all m preloads plus the main flow) and exactly m
-otherwise.  The per-trial record also carries the clause-count
-correspondence: the best assignment's traversable-clause count must match
-the MAX-SAT optimum.
+settled by the exhaustive SAT and MAX-SAT oracles and the network side by
+the exact admission solver.  The two agree when the admission optimum is
+m+1 on satisfiable formulas (all m preloads plus the main flow) and exactly
+m otherwise.  The per-trial record also carries the count correspondence
+behind the gap constant: the admission optimum with the main flow required
+equals 1 + the MAX-SAT optimum, because dropping preload i is exactly what
+lets the main flow cross clause i over its bypass.
 """
 
 from __future__ import annotations
@@ -14,9 +15,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .cnf import all_assignments, brute_sat, max_sat_brute, random_formula
-from .gadget import CapacityPreset, audit, compile_formula, traversable_clauses
+from .cnf import brute_sat, max_sat_brute, random_formula
+from .gadget import (
+    CapacityPreset,
+    assignment_plan,
+    audit,
+    compile_formula,
+    preload_plan,
+)
 from .instance_io import instance_to_dict
+from .model import check_feasible
 from .solver import DEFAULT_NODE_BUDGET, solve_exact
 
 
@@ -34,6 +42,8 @@ class TrialRecord:
     audit_ok: bool
     agree: bool
     max_sat: int
+    # The admission optimum with main required, less main; -1 when no plan
+    # admits main at all.
     max_traversable: int
     max_match: bool
     witness: dict | None = None
@@ -58,7 +68,7 @@ class VerificationReport:
 
     @property
     def all_ok(self) -> bool:
-        return all(r.agree and r.audit_ok for r in self.records)
+        return all(r.agree and r.audit_ok and r.max_match for r in self.records)
 
     @property
     def exit_status(self) -> int:
@@ -88,24 +98,41 @@ def run_verification(
         report = audit(inst)
         witness_assignment = brute_sat(formula)
         satisfiable = witness_assignment is not None
-        result = solve_exact(inst, budget=solver_budget)
-        expected = clause_count + 1 if satisfiable else clause_count
-        # An uncertified optimum cannot witness agreement; it counts as a
-        # failure and the record says why via solver_optimal.
-        agree = result.optimal and result.accepted_count == expected
-        max_sat, _ = max_sat_brute(formula)
-        max_traversable = max(
-            traversable_clauses(inst, a) for a in all_assignments(var_count)
+        max_sat, best = max_sat_brute(formula)
+        # The best assignment's plan accepts 1 + max_sat copies; as the first
+        # incumbent it leaves the solver only the proof that none does better.
+        start = assignment_plan(inst, best)
+        if not check_feasible(inst.network, start).ok:
+            start = None
+        main = len(inst.flows) - 1
+        with_main = solve_exact(
+            inst, budget=solver_budget, required=(main,), start=start
         )
+        max_traversable = with_main.accepted_count - 1
+        if check_feasible(inst.network, preload_plan(inst)).ok:
+            # Without main a plan holds at most the m preload copies.
+            nc_accepted = max(with_main.accepted_count, clause_count)
+            optimal = with_main.optimal
+        else:  # capacity overrides that overload a preload hop
+            result = solve_exact(inst, budget=solver_budget)
+            nc_accepted = result.accepted_count
+            optimal = with_main.optimal and result.optimal
+        expected = clause_count + 1 if satisfiable else clause_count
+        # An uncertified optimum cannot witness agreement or a match; it
+        # counts as a failure and the record says why via solver_optimal.
+        agree = optimal and nc_accepted == expected
+        max_match = with_main.optimal and max_traversable == max_sat
         witness = None
-        if not agree or not report.ok:
+        if not (agree and max_match and report.ok):
             witness = {
                 "trial": index,
                 "seed": trial_seed,
                 "satisfiable": satisfiable,
-                "nc_accepted": result.accepted_count,
+                "nc_accepted": nc_accepted,
                 "expected_accepted": expected,
-                "solver_optimal": result.optimal,
+                "solver_optimal": optimal,
+                "max_sat": max_sat,
+                "max_traversable": max_traversable,
                 "audit_failures": list(report.failures),
                 "instance": instance_to_dict(inst),
             }
@@ -117,14 +144,14 @@ def run_verification(
                 clause_count=clause_count,
                 k=k,
                 satisfiable=satisfiable,
-                nc_accepted=result.accepted_count,
+                nc_accepted=nc_accepted,
                 expected_accepted=expected,
-                solver_optimal=result.optimal,
+                solver_optimal=optimal,
                 audit_ok=report.ok,
                 agree=agree,
                 max_sat=max_sat,
                 max_traversable=max_traversable,
-                max_match=max_sat == max_traversable,
+                max_match=max_match,
                 witness=witness,
             )
         )

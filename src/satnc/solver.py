@@ -7,10 +7,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Collection, Iterator, Mapping
 
 from .gadget import NcInstance
-from .model import Network, Path, RouteAssignment, RoutePlan
+from .model import Network, Path, RouteAssignment, RoutePlan, check_feasible
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -21,7 +21,7 @@ class SolveResult:
     plan: RoutePlan
     optimal: bool
     nodes_explored: int = 0
-    wall_budget_hit: bool = False
+    budget_hit: bool = False
 
 
 class _Stop(Exception):
@@ -143,17 +143,29 @@ def _effective_copies(inst: NcInstance) -> list[int]:
     ]
 
 
-def solve_exact(inst: NcInstance, budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
+def solve_exact(
+    inst: NcInstance,
+    budget: int = DEFAULT_NODE_BUDGET,
+    required: Collection[int] = (),
+    start: RoutePlan | None = None,
+) -> SolveResult:
     """Maximize the number of accepted copies by branch and bound.
 
     Flows are considered in demand order, but acceptance subsets are
-    searched: any copy may be rejected if that lets later flows through.
+    searched: any copy may be rejected if that lets later flows through,
+    except the first copy of each flow whose index is in ``required``.
     Each branch searches paths on demand under its residual capacity, and
     copies of one flow take non-decreasing paths.  Branches are cut with an
     admissible bound from the remaining copy supply, capped per flow by how
     many copies the residual capacity at its endpoints could still carry.
-    The result is optimal unless the node budget ran out.
+    ``start``, a feasible plan that routes every required flow, is the
+    first incumbent, so the bound prunes against it from the root.  The
+    result is optimal unless the node budget ran out; when no plan routes
+    every required flow, it accepts 0 copies with an empty plan.
     """
+    required = frozenset(required)
+    if not required <= set(range(len(inst.flows))):
+        raise ValueError(f"required flow indices out of range: {sorted(required)}")
     net = inst.network
     caps = dict(net.capacity)
     router = _Router(net, caps)
@@ -167,6 +179,9 @@ def solve_exact(inst: NcInstance, budget: int = DEFAULT_NODE_BUDGET) -> SolveRes
     plan: list[RouteAssignment] = []
     best_count = -1
     best_plan: tuple[RouteAssignment, ...] = ()
+    if start is not None:
+        _check_start(inst, start, required)
+        best_count, best_plan = len(start), start.assignments
     explored = 0
 
     def endpoint_ub(fi: int) -> int:
@@ -183,7 +198,13 @@ def solve_exact(inst: NcInstance, budget: int = DEFAULT_NODE_BUDGET) -> SolveRes
             total += min(copies[g], endpoint_ub(g))
         return total
 
-    def descend(fi: int, ci: int, floor: Path, accepted: int) -> None:
+    # Depth-first without recursion.  A frame routes copy ``ci`` of flow
+    # ``fi`` over each of its paths in turn, with copy ``ci + 1`` as the
+    # child branch, then stops routing the flow and moves on in its place.
+    stack: list[list] = []
+
+    def enter(fi: int, ci: int, floor: Path, accepted: int) -> None:
+        """Open a branch: settle it here or push its frame."""
         nonlocal best_count, best_plan, explored
         explored += 1
         if explored > budget:
@@ -197,29 +218,62 @@ def solve_exact(inst: NcInstance, budget: int = DEFAULT_NODE_BUDGET) -> SolveRes
             return
         flow = inst.flows[fi]
         # The search reads ``load`` live; it is restored before each resumption.
-        paths = router.paths(flow.src, flow.dst, load, floor) if ci < copies[fi] else ()
-        for path, delta in paths:
-            for v, n in delta.items():
-                load[v] += n
-            plan.append(RouteAssignment(flow, ci, path))
-            descend(fi, ci + 1, path, accepted + 1)
-            plan.pop()
-            for v, n in delta.items():
-                load[v] -= n
-            if accepted + supply_bound(fi, ci) <= best_count:
-                break
-        # stop routing this flow here and move on
-        descend(fi + 1, 0, (), accepted)
+        paths = (
+            router.paths(flow.src, flow.dst, load, floor)
+            if ci < copies[fi]
+            else iter(())
+        )
+        stack.append([fi, ci, accepted, paths, None])  # last: the routed delta
 
     with contextlib.suppress(_Stop):
-        descend(0, 0, (), 0)
+        enter(0, 0, (), 0)
+        while stack:
+            frame = stack[-1]
+            fi, ci, accepted, paths, delta = frame
+            if delta is not None:  # back from the child branch
+                plan.pop()
+                for v, n in delta.items():
+                    load[v] -= n
+                frame[4] = None
+                if accepted + supply_bound(fi, ci) <= best_count:
+                    paths = frame[3] = iter(())
+            found = next(paths, None)
+            if found is not None:
+                path, frame[4] = found
+                for v, n in found[1].items():
+                    load[v] += n
+                plan.append(RouteAssignment(inst.flows[fi], ci, path))
+                enter(fi, ci + 1, path, accepted + 1)
+                continue
+            stack.pop()
+            if ci > 0 or fi not in required:
+                enter(fi + 1, 0, (), accepted)
     return SolveResult(
         accepted_count=max(best_count, 0),
         plan=RoutePlan(best_plan),
         optimal=explored <= budget,
         nodes_explored=explored,
-        wall_budget_hit=explored > budget,
+        budget_hit=explored > budget,
     )
+
+
+def _check_start(inst: NcInstance, start: RoutePlan, required: Collection[int]) -> None:
+    routed = {a.flow for a in start.assignments}
+    for a in start.assignments:
+        if a.flow not in inst.flows or (
+            a.flow.copies is not None and a.copy >= a.flow.copies
+        ):
+            raise ValueError(
+                f"start routes copy {a.copy} of flow {a.flow.label!r}, "
+                "which the instance does not demand"
+            )
+    for fi in required:
+        if inst.flows[fi] not in routed:
+            raise ValueError(
+                f"start does not route required flow {inst.flows[fi].label!r}"
+            )
+    if not check_feasible(inst.network, start).ok:
+        raise ValueError("start plan is not feasible")
 
 
 def solve_greedy(inst: NcInstance) -> SolveResult:

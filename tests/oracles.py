@@ -57,29 +57,30 @@ def naive_plan_feasible(nodes, edges, caps, paths) -> bool:
     return all(total[v] <= caps[v] for v in nodes)
 
 
-def naive_best_accept(nodes, edges, caps, demands) -> int:
+def naive_best_accept(nodes, edges, caps, demands, required=()) -> int:
     """Maximum number of copies acceptable over any choice of elementary
     paths, by exhaustive search.  ``demands`` is a list of (src, dst,
-    copies) triples."""
+    copies) triples; only plans that accept a copy of every demand whose
+    index is in ``required`` count, and 0 means there is none."""
     candidates = [naive_simple_paths(nodes, edges, s, t) for s, t, _ in demands]
 
     best = 0
 
-    def recurse(di: int, ci: int, chosen: list[tuple[str, ...]]) -> None:
+    def recurse(di: int, ci: int, chosen: list[tuple[str, ...]], routed) -> None:
         nonlocal best
         if not naive_plan_feasible(nodes, edges, caps, chosen):
             return
-        if len(chosen) > best:
+        if len(chosen) > best and set(required) <= routed:
             best = len(chosen)
         if di == len(demands):
             return
         _, _, copies = demands[di]
         if ci < copies:
             for path in candidates[di]:
-                recurse(di, ci + 1, chosen + [path])
-        recurse(di + 1, 0, chosen)
+                recurse(di, ci + 1, chosen + [path], routed | {di})
+        recurse(di + 1, 0, chosen, routed)
 
-    recurse(0, 0, [])
+    recurse(0, 0, [], frozenset())
     return best
 
 

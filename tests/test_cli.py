@@ -18,7 +18,15 @@ except ModuleNotFoundError:  # Python 3.10; pytest depends on tomli there
     import tomli as tomllib
 
 import satnc
-from satnc import Formula, compile_formula, instance_to_dict, load_instance
+import satnc.harness
+from satnc import (
+    Formula,
+    compile_formula,
+    instance_to_dict,
+    load_instance,
+    max_sat_brute,
+    save_instance,
+)
 from satnc.cli import main
 from conftest import BROKEN_PATH_RAW, FIXTURES, WORKED_CLAUSES
 
@@ -137,6 +145,16 @@ class TestSolve:
         assert code == 0
         assert payload["accepted"] == 2 and payload["optimal"]
 
+    def test_exact_long_formula_without_recursion(self, tmp_path, capsys):
+        # 601 flows; a branch-and-bound recursion two frames deep per flow
+        # ran past the interpreter's recursion limit here.
+        inst = tmp_path / "long.json"
+        save_instance(compile_formula(Formula.from_clauses(3, [(1, 2, 3)] * 600)), inst)
+        code = main(["solve", "--instance", str(inst), "--mode", "exact", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["accepted"] == 601 and payload["optimal"]
+
     def test_greedy_below_exact_on_gap_fixture(self, capsys):
         gap = FIXTURES / "greedy_gap.json"
         main(["solve", "--instance", str(gap), "--mode", "greedy", "--json"])
@@ -222,6 +240,56 @@ def test_fuzzed_instance_keeps_exit_contract(tmp_path, capsys, key, index, value
     assert "Traceback" not in capsys.readouterr().err
 
 
+_DIMACS_TOKENS = st.sampled_from(
+    ["0", "1", "-1", "2", "-3", "4", "-0", "+2", "1.5", "x", "p", "c", "%", "9" * 20]
+) | st.text(max_size=3)
+
+
+@st.composite
+def _dimacs_texts(draw) -> str:
+    """Well-formed DIMACS with up to two lines inserted, replaced or deleted."""
+    n = draw(st.integers(1, 4))
+    literals = [v * sign for v in range(1, n + 1) for sign in (1, -1)]
+    clause = st.lists(st.sampled_from(literals), min_size=1, max_size=3)
+    clauses = draw(st.lists(clause, max_size=4))
+    lines = [f"p cnf {n} {len(clauses)}"]
+    lines += [" ".join(map(str, clause)) + " 0" for clause in clauses]
+    for _ in range(draw(st.integers(0, 2))):
+        junk = " ".join(draw(st.lists(_DIMACS_TOKENS, max_size=5)))
+        at = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit == "insert" or not lines:
+            lines.insert(at, junk)
+        elif edit == "replace":
+            lines[min(at, len(lines) - 1)] = junk
+        else:
+            del lines[min(at, len(lines) - 1)]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n%\n0\n"]))
+
+
+@given(
+    _dimacs_texts(),
+    st.lists(
+        st.sampled_from(["1", "-1", "2", "-3", "4", "5", "0", "x", "1,2"]), max_size=5
+    ).map(" ".join),
+)
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_fuzzed_dimacs_keeps_exit_contract(tmp_path, capsys, text, literals):
+    cnf = tmp_path / "fuzz.cnf"
+    cnf.write_text(text, encoding="utf-8")
+    out = tmp_path / "fuzz.json"
+    out.unlink(missing_ok=True)
+    codes = [main(["compile", "--cnf", str(cnf), "--out", str(out)])]
+    if codes[0] == 0:
+        codes.append(main(["check", "--instance", str(out), "--assignment", literals]))
+    assert set(codes) <= {0, 1, 2}
+    assert "Traceback" not in capsys.readouterr().err
+
+
 class TestVerify:
     def test_zero_trials_ok(self, capsys):
         code = main(
@@ -280,6 +348,24 @@ class TestVerify:
         assert witnesses
         payload = json.loads(witnesses[0].read_text())
         assert any("bypass not blocked" in f for f in payload["audit_failures"])
+
+    def test_max_sat_mismatch_fails(self, capsys, tmp_path, monkeypatch):
+        # A MAX-SAT oracle that undercounts by one must fail the run through
+        # max_match alone: the admission side still agrees.
+        def undercount(formula):
+            count, best = max_sat_brute(formula)
+            return count - 1, best
+
+        monkeypatch.setattr(satnc.harness, "max_sat_brute", undercount)
+        code = main(
+            ["verify", "--vars", "3", "--clauses", "2", "--k", "2",
+             "--trials", "2", "--seed", "3", "--witness-dir", str(tmp_path)]
+        )
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "agreed=2" in out and "max_matches=0" in out
+        assert "verdict: FAIL" in out
+        assert len(list(tmp_path.glob("witness-trial-*.json"))) == 2
 
     def test_vars_over_bound_exit_2(self, capsys):
         code = main(

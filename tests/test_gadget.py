@@ -14,6 +14,7 @@ from satnc import (
     RouteAssignment,
     RoutePlan,
     all_assignments,
+    assignment_plan,
     assignment_to_path,
     audit,
     brute_sat,
@@ -27,7 +28,7 @@ from satnc import (
     path_to_assignment,
     preload_plan,
     random_formula,
-    traversable_clauses,
+    solve_exact,
 )
 from conftest import A1, A2, BROKEN_PATH_RAW
 from oracles import subset_sizes
@@ -184,16 +185,25 @@ class TestAudit:
         assert any("intended segment overloads" in f for f in report.failures)
 
 
-class TestTraversableClauses:
+class TestAssignmentPlan:
     def test_all_satisfied(self, worked_instance):
-        assert traversable_clauses(worked_instance, A1) == 3
+        plan = assignment_plan(worked_instance, A1)
+        assert plan.assignments[:-1] == preload_plan(worked_instance).assignments
+        assert plan.assignments[-1].path == assignment_to_path(worked_instance, A1)
+        assert check_feasible(worked_instance.network, plan).ok
 
-    def test_one_clause_falsified(self, worked_instance):
-        assert traversable_clauses(worked_instance, A2) == 2
+    def test_falsified_clause_drops_its_preload(self, worked_instance):
+        plan = assignment_plan(worked_instance, A2)
+        labels = [a.flow.label for a in plan.assignments]
+        assert labels == ["preload-1", "preload-2", "main"]
+        assert plan.assignments[-1].path[-4:] == ("E3", "B3", "X3", "T")
+        assert check_feasible(worked_instance.network, plan).ok
 
     def test_single_clause_falsified(self):
         inst = compile_formula(Formula.from_clauses(2, [(1, 2)]))
-        assert traversable_clauses(inst, {1: False, 2: False}) == 0
+        plan = assignment_plan(inst, {1: False, 2: False})
+        assert plan.paths() == [("E1", "B1", "X1", "T")]
+        assert check_feasible(inst.network, plan).ok
 
 
 class TestClassifyPath:
@@ -276,14 +286,23 @@ def test_inversion_consistent(f):
         assert witness[var] == value
 
 
+def required_main_optimum(inst) -> int:
+    """Admission optimum with the main flow required, solved cold."""
+    result = solve_exact(inst, required={len(inst.flows) - 1})
+    assert result.optimal
+    return result.accepted_count
+
+
 @given(small_formulas)
 @settings(max_examples=50, deadline=None)
 def test_max_correspondence_small_scale(f):
     inst = compile_formula(f)
-    best = max(
-        traversable_clauses(inst, a) for a in all_assignments(f.var_count)
-    )
-    assert best == max_sat_brute(f)[0]
+    max_sat = max_sat_brute(f)[0]
+    assert required_main_optimum(inst) == 1 + max_sat
+    for a in all_assignments(f.var_count):
+        plan = assignment_plan(inst, a)
+        assert check_feasible(inst.network, plan).ok
+        assert len(plan) == 1 + eval_formula(f, a)
 
 
 @given(small_formulas)
@@ -300,11 +319,9 @@ def test_conflict_pairs_are_cross_clause_complementary(f):
 def test_equivalence_exhaustive_over_tiny_clause_alphabet():
     """Every 1- and 2-clause formula over 2 variables with clause width <= 2,
     duplicate literals and tautological clauses included: the admission
-    optimum must be m+1 exactly for the satisfiable ones, the best
-    traversable-clause count must equal the MAX-SAT optimum, and the audit
+    optimum must be m+1 exactly for the satisfiable ones, the optimum with
+    the main flow required must be 1 + the MAX-SAT optimum, and the audit
     must hold."""
-    from satnc import solve_exact
-
     lits = [1, -1, 2, -2]
     alphabet = [(l,) for l in lits] + [(a, b) for a in lits for b in lits]
     for m in (1, 2):
@@ -314,8 +331,5 @@ def test_equivalence_exhaustive_over_tiny_clause_alphabet():
             result = solve_exact(inst)
             expected = m + (1 if brute_sat(f) is not None else 0)
             assert result.optimal and result.accepted_count == expected, combo
-            best = max(
-                traversable_clauses(inst, a) for a in all_assignments(2)
-            )
-            assert best == max_sat_brute(f)[0], combo
+            assert required_main_optimum(inst) == 1 + max_sat_brute(f)[0], combo
             assert audit(inst).ok, combo

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from satnc import (
     FlowRequest,
     Formula,
+    RouteAssignment,
+    RoutePlan,
     check_feasible,
     compile_formula,
     enum_paths,
@@ -116,7 +118,55 @@ class TestSolveExact:
         net = path_graph("ABCDE", cap=6)
         inst = demand_instance(net, [("A", "E", 2), ("B", "D", 2)])
         result = solve_exact(inst, budget=2)
-        assert result.wall_budget_hit and not result.optimal
+        assert result.budget_hit and not result.optimal
+
+    def test_required_flow_displaces_better_ones(self):
+        # Two one-hop copies or the one two-hop copy fill A and B.
+        net = path_graph("ABC", cap=2)
+        inst = demand_instance(net, [("A", "B", 2), ("A", "C", 1)])
+        assert solve_exact(inst).accepted_count == 2
+        result = solve_exact(inst, required={1})
+        assert result.accepted_count == 1 and result.optimal
+        assert result.plan.paths() == [("A", "B", "C")]
+
+    def test_unroutable_required_flow_accepts_nothing(self):
+        net = make_network(["A", "B", "C"], [("A", "B")], 5)
+        inst = demand_instance(net, [("A", "B", 1), ("A", "C", 1)])
+        result = solve_exact(inst, required={1})
+        assert result.accepted_count == 0 and result.optimal
+        assert result.plan == RoutePlan()
+
+    def test_required_index_out_of_range(self):
+        inst = demand_instance(path_graph("AB"), [("A", "B", 1)])
+        with pytest.raises(ValueError, match="out of range"):
+            solve_exact(inst, required={1})
+
+    def test_optimal_start_is_kept(self):
+        net = path_graph("ABC", cap=2)
+        inst = demand_instance(net, [("A", "B", 2), ("A", "C", 1)])
+        cold = solve_exact(inst)
+        warm = solve_exact(inst, start=cold.plan)
+        assert warm.plan == cold.plan and warm.optimal
+        assert warm.nodes_explored < cold.nodes_explored
+
+    def test_bad_start_rejected(self):
+        net = path_graph("ABC", cap=2)
+        inst = demand_instance(net, [("A", "B", 2), ("A", "C", 1)])
+        short, long = inst.flows
+        overloaded = RoutePlan(
+            (
+                RouteAssignment(short, 0, ("A", "B")),
+                RouteAssignment(long, 0, ("A", "B", "C")),
+            )
+        )
+        with pytest.raises(ValueError, match="not feasible"):
+            solve_exact(inst, start=overloaded)
+        no_long = RoutePlan((RouteAssignment(short, 0, ("A", "B")),))
+        with pytest.raises(ValueError, match="required flow"):
+            solve_exact(inst, required={1}, start=no_long)
+        extra_copy = RoutePlan((RouteAssignment(long, 1, ("A", "B", "C")),))
+        with pytest.raises(ValueError, match="does not demand"):
+            solve_exact(inst, start=extra_copy)
 
     def test_plan_always_feasible(self):
         inst = load_instance(FIXTURES / "greedy_gap.json")
@@ -236,6 +286,58 @@ def test_exact_unbounded_matches_oracle(seed):
     finite = [(s, t, c or spare) for s, t, c in demands]
     expected = naive_best_accept(net.nodes, net.edges(), dict(net.capacity), finite)
     assert result.accepted_count == expected
+
+
+@given(st.integers(0, 100_000))
+@settings(max_examples=25, deadline=None)
+def test_required_matches_exhaustive_oracle(seed):
+    rng = random.Random(seed)
+    net, demands = random_demand_instance(rng, max_nodes=7, max_demands=2)
+    inst = demand_instance(net, demands)
+    required = {fi for fi in range(len(demands)) if rng.random() < 0.5} or {0}
+    result = solve_exact(inst, required=required)
+    assert result.optimal
+    expected = naive_best_accept(
+        net.nodes, net.edges(), dict(net.capacity), demands, required
+    )
+    assert result.accepted_count == expected == len(result.plan)
+    assert check_feasible(net, result.plan).ok
+    if expected:
+        routed = {a.flow for a in result.plan.assignments}
+        assert {inst.flows[fi] for fi in required} <= routed
+
+
+@given(st.integers(0, 100_000))
+@settings(max_examples=100, deadline=None)
+def test_start_never_changes_the_optimum(seed):
+    # A random plan as the start, mostly kept feasible: feasible ones that
+    # route the required flow leave the optimum as it was and only prune,
+    # every other one is refused.
+    rng = random.Random(seed)
+    net, demands = random_demand_instance(rng)
+    inst = demand_instance(net, demands)
+    required = {0} if rng.random() < 0.5 else set()
+    routed: list[RouteAssignment] = []
+    for flow in inst.flows:
+        paths = naive_simple_paths(net.nodes, net.edges(), flow.src, flow.dst)
+        for ci in range(flow.copies):
+            if paths and rng.random() < 0.7:
+                more = [*routed, RouteAssignment(flow, ci, rng.choice(paths))]
+                fits = check_feasible(net, RoutePlan(tuple(more))).ok
+                if fits or rng.random() < 0.15:
+                    routed = more
+    start = RoutePlan(tuple(routed))
+    if check_feasible(net, start).ok and all(
+        inst.flows[fi] in {a.flow for a in routed} for fi in required
+    ):
+        cold = solve_exact(inst, required=required)
+        warm = solve_exact(inst, required=required, start=start)
+        assert warm.optimal and warm.accepted_count == cold.accepted_count
+        assert warm.nodes_explored <= cold.nodes_explored
+        assert check_feasible(net, warm.plan).ok
+    else:
+        with pytest.raises(ValueError):
+            solve_exact(inst, required=required, start=start)
 
 
 @given(st.integers(0, 100_000))
