@@ -17,15 +17,14 @@ from .gadget import (
     CapacityPreset,
     ClauseUnsatisfied,
     NcInstance,
-    assignment_to_path,
+    assignment_plan,
     classify_path,
     compile_formula,
-    preload_plan,
     true_positions,
 )
 from .harness import run_verification
 from .instance_io import load_instance, save_instance, to_dot
-from .model import RouteAssignment, RoutePlan, check_feasible, plan_load
+from .model import RoutePlan, check_feasible, plan_load
 from .solver import DEFAULT_NODE_BUDGET, inapprox_bound, solve_exact, solve_greedy
 
 _CAP_FIELDS = {
@@ -103,30 +102,25 @@ def _check_assignment(inst: NcInstance, raw: str, as_json: bool) -> int:
     formula = inst.formula
     if formula is None:
         raise ValueError("instance carries no formula; use --path")
-    per_clause = []
-    failed = None
-    for i, clause in enumerate(formula.clauses, 1):
-        try:
-            trues = true_positions(clause, assignment)
-        except KeyError as exc:
-            raise ValueError(f"assignment missing variable {exc.args[0]}") from None
-        per_clause.append((i, trues))
-        if not trues and failed is None:
-            failed = i
+    unknown = sorted(v for v in assignment if v > formula.var_count)
+    if unknown:
+        raise ValueError(f"assignment names variables the formula lacks: {unknown}")
+    try:
+        per_clause = [true_positions(c, assignment) for c in formula.clauses]
+    except KeyError as exc:
+        raise ValueError(f"assignment missing variable {exc.args[0]}") from None
+    failed = next((i for i, trues in enumerate(per_clause, 1) if not trues), None)
     if failed is not None:
         if as_json:
             print(json.dumps({"verdict": "unsatisfied", "clause": failed}))
         else:
-            for i, trues in per_clause:
+            for i, trues in enumerate(per_clause, 1):
                 state = f"true at positions {list(trues)}" if trues else "UNSATISFIED"
                 print(f"clause {i}: {state}")
             print(f"verdict: failure at clause {failed}")
         return 1
-    path = assignment_to_path(inst, assignment)
-    plan = RoutePlan(
-        preload_plan(inst).assignments
-        + (RouteAssignment(inst.flows[-1], 0, path),)
-    )
+    plan = assignment_plan(inst, assignment)
+    path = plan.assignments[-1].path
     verdict = check_feasible(inst.network, plan)
     overloads = [(o.node, o.load, o.capacity) for o in verdict.overloads]
     if as_json:
@@ -140,7 +134,7 @@ def _check_assignment(inst: NcInstance, raw: str, as_json: bool) -> int:
             )
         )
     else:
-        for i, trues in per_clause:
+        for i, trues in enumerate(per_clause, 1):
             print(f"clause {i}: true at positions {list(trues)}")
         print("path:", " ".join(inst.paper_name(v) or v for v in path))
         if verdict.ok:

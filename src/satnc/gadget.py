@@ -23,10 +23,12 @@ from .model import (
     Network,
     Overload,
     Path,
+    PathError,
     RouteAssignment,
     RoutePlan,
     hops_load,
-    is_elementary,
+    overloaded_nodes,
+    validate_path,
 )
 
 TERMINAL = "T"
@@ -309,27 +311,20 @@ def assignment_to_path(inst: NcInstance, a: Assignment) -> Path:
     Each clause is crossed through every literal the assignment makes
     true; raises ClauseUnsatisfied on the first clause with none.
     """
-    formula = _require_compiled(inst)
-    _require_total(formula, a)
-    m = len(formula.clauses)
-    nodes = [entry_id(1)]
-    for i, clause in enumerate(formula.clauses, 1):
-        trues = true_positions(clause, a)
-        if not trues:
+    plan = assignment_plan(inst, a)
+    # The plan routes preload i exactly when clause i is satisfied, so the
+    # first flow it skips names the first unsatisfied clause.
+    for i, (flow, routed) in enumerate(zip(inst.flows, plan.assignments), 1):
+        if routed.flow != flow:
             raise ClauseUnsatisfied(i)
-        nodes.extend(clause_segment(i, trues)[1:])
-        if i < m:
-            nodes.append(entry_id(i + 1))
-    nodes.append(TERMINAL)
-    return tuple(nodes)
+    return plan.assignments[-1].path
 
 
 def path_to_assignment(inst: NcInstance, p: Path) -> Assignment:
     """Partial assignment read off the literal nodes a path visits."""
     formula = _require_compiled(inst)
     for v in p:
-        if not inst.network.has_node(v):
-            raise ValueError(f"unknown node {v!r}")
+        inst.network._require(v)
     values: Assignment = {}
     for i, clause in enumerate(formula.clauses, 1):
         for j, lit in enumerate(clause, 1):
@@ -364,14 +359,14 @@ def assignment_plan(inst: NcInstance, a: Assignment) -> RoutePlan:
     formula = _require_compiled(inst)
     _require_total(formula, a)
     m = len(formula.clauses)
+    preloads = preload_plan(inst).assignments
     main = [entry_id(1)]
     routed: list[RouteAssignment] = []
     for i, clause in enumerate(formula.clauses, 1):
         trues = true_positions(clause, a)
         if trues:
             main.extend(clause_segment(i, trues)[1:])
-            flow = inst.flows[i - 1]
-            routed.append(RouteAssignment(flow, 0, (flow.src, flow.dst)))
+            routed.append(preloads[i - 1])
         else:
             main.extend([bypass_id(i), exit_id(i)])
         if i < m:
@@ -379,10 +374,6 @@ def assignment_plan(inst: NcInstance, a: Assignment) -> RoutePlan:
     main.append(TERMINAL)
     routed.append(RouteAssignment(inst.flows[-1], 0, tuple(main)))
     return RoutePlan(tuple(routed))
-
-
-def _preload_hops(inst: NcInstance) -> list[Hop]:
-    return [(flow.src, flow.dst) for flow in inst.flows[:-1]]
 
 
 @dataclass(frozen=True)
@@ -395,25 +386,13 @@ class PathClassification:
 
 def classify_path(inst: NcInstance, p: Path) -> PathClassification:
     """Judge a candidate main-flow path with all preloads routed."""
-    _require_compiled(inst)
-    net = inst.network
-    for v in p:
-        if not net.has_node(v):
-            raise ValueError(f"unknown node {v!r}")
-    if not is_elementary(p):
-        repeat = next(v for idx, v in enumerate(p) if v in p[:idx])
-        return PathClassification("malformed", reason=f"node {repeat!r} repeats")
-    for u, x in zip(p, p[1:]):
-        if not net.has_edge(u, x):
-            return PathClassification(
-                "malformed", bad_hop=(u, x), reason=f"hop ({u!r}, {x!r}) is not an edge"
-            )
-    loads = hops_load(net, _preload_hops(inst) + list(zip(p, p[1:])))
-    overloads = tuple(
-        Overload(v, loads[v], net.capacity_of(v))
-        for v in sorted(loads)
-        if loads[v] > net.capacity_of(v)
-    )
+    preloads = preload_plan(inst)
+    try:
+        validate_path(inst.network, p)
+    except PathError as exc:
+        return PathClassification("malformed", exc.bad_hop, str(exc))
+    hops = (hop for q in [*preloads.paths(), p] for hop in zip(q, q[1:]))
+    overloads = overloaded_nodes(inst.network, hops_load(inst.network, hops))
     if overloads:
         return PathClassification("overloaded", overloads=overloads)
     return PathClassification("feasible")

@@ -24,7 +24,7 @@ LoadMap = dict[str, int]
 class Network:
     """Undirected, loop-free graph with a non-negative capacity per node."""
 
-    __slots__ = ("_nodes", "_adj", "_capacity")
+    __slots__ = ("_nodes", "_adj", "_capacity", "_tx")
 
     def __init__(
         self,
@@ -53,6 +53,7 @@ class Network:
                 raise ValueError(f"capacity of {v!r} must be a non-negative integer")
             caps[v] = c
         self._adj = {v: frozenset(members) for v, members in adj.items()}
+        self._tx = {v: (v, *members) for v, members in adj.items()}
         self._capacity = caps
 
     @property
@@ -86,6 +87,11 @@ class Network:
         self._require(v)
         return self._adj[v]
 
+    @property
+    def transmit_sets(self) -> Mapping[str, tuple[str, ...]]:
+        """Per node, every node its transmissions load: itself and its neighbors."""
+        return MappingProxyType(self._tx)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Network):
             return NotImplemented
@@ -114,8 +120,10 @@ class FlowRequest:
     def __post_init__(self) -> None:
         if self.src == self.dst:
             raise ValueError(f"flow {self.label!r}: source equals destination")
-        if self.copies is not None and self.copies < 1:
-            raise ValueError(f"flow {self.label!r}: copies must be positive")
+        if self.copies is not None and (
+            isinstance(self.copies, bool) or self.copies < 1
+        ):
+            raise ValueError(f"flow {self.label!r}: copies must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -136,10 +144,11 @@ class RoutePlan:
     def __post_init__(self) -> None:
         seen = set()
         for a in self.assignments:
-            if a.path and (a.path[0] != a.flow.src or a.path[-1] != a.flow.dst):
+            # A path of fewer than two nodes never has both endpoints.
+            if a.path[:1] + a.path[-1:] != (a.flow.src, a.flow.dst):
                 raise ValueError(
-                    f"path endpoints {a.path[0]!r}..{a.path[-1]!r} do not match "
-                    f"flow {a.flow.label!r}"
+                    f"path {a.path!r} does not join the endpoints of flow "
+                    f"{a.flow.label!r}"
                 )
             key = (a.flow, a.copy)
             if key in seen:
@@ -173,9 +182,13 @@ class FeasibilityVerdict:
     defects: tuple[PathDefect, ...] = ()
 
 
-def neighbors(net: Network, v: str) -> frozenset[str]:
-    """Nodes adjacent to ``v``."""
-    return net.adjacency(v)
+class PathError(ValueError):
+    """A path over known nodes that repeats a node or takes a hop that is
+    not an edge; ``bad_hop`` is that hop, or None for a repeat."""
+
+    def __init__(self, reason: str, bad_hop: Hop | None = None) -> None:
+        super().__init__(reason)
+        self.bad_hop = bad_hop
 
 
 def interference_set(net: Network, hop: Hop) -> frozenset[str]:
@@ -185,12 +198,8 @@ def interference_set(net: Network, hop: Hop) -> frozenset[str]:
     receiver is adjacent to the transmitter, so it is already covered by
     the neighborhood).
     """
-    u, x = hop
-    net._require(u)
-    net._require(x)
-    if not net.has_edge(u, x):
-        raise ValueError(f"hop ({u!r}, {x!r}) is not an edge")
-    return net.adjacency(u) | {u}
+    validate_path(net, hop)
+    return frozenset(net.transmit_sets[hop[0]])
 
 
 def is_elementary(p: Path) -> bool:
@@ -199,18 +208,27 @@ def is_elementary(p: Path) -> bool:
 
 
 def validate_path(net: Network, p: Path) -> None:
-    """Raise ValueError unless ``p`` is an elementary path over edges of net."""
-    for v in p:
+    """Raise unless ``p`` is an elementary path over edges of ``net``.
+
+    One pass: an unknown node raises ValueError at once; otherwise the
+    first repeated node, else the first hop that is not an edge, raises
+    PathError.
+    """
+    seen: set[str] = set()
+    repeat: str | None = None
+    bad_hop: Hop | None = None
+    for i, v in enumerate(p):
         net._require(v)
-    if not is_elementary(p):
-        seen: set[str] = set()
-        for v in p:
-            if v in seen:
-                raise ValueError(f"node {v!r} repeats")
-            seen.add(v)
-    for u, x in zip(p, p[1:]):
-        if not net.has_edge(u, x):
-            raise ValueError(f"hop ({u!r}, {x!r}) is not an edge")
+        if repeat is None and v in seen:
+            repeat = v
+        seen.add(v)
+        if i and bad_hop is None and not net.has_edge(p[i - 1], v):
+            bad_hop = (p[i - 1], v)
+    if repeat is not None:
+        raise PathError(f"node {repeat!r} repeats")
+    if bad_hop is not None:
+        u, x = bad_hop
+        raise PathError(f"hop ({u!r}, {x!r}) is not an edge", bad_hop)
 
 
 def hops_load(net: Network, hops: Iterable[Hop]) -> LoadMap:
@@ -218,11 +236,20 @@ def hops_load(net: Network, hops: Iterable[Hop]) -> LoadMap:
 
     Sparse: only nodes the hops touch appear, so read it with ``.get(v, 0)``.
     """
+    tx = net.transmit_sets
     loads: LoadMap = {}
     for u, _ in hops:
-        for w in (u, *net.adjacency(u)):
+        for w in tx[u]:
             loads[w] = loads.get(w, 0) + 1
     return loads
+
+
+def overloaded_nodes(net: Network, loads: Mapping[str, int]) -> tuple[Overload, ...]:
+    """Every node whose load exceeds its capacity, sorted by node id."""
+    cap = net.capacity
+    return tuple(
+        Overload(v, n, cap[v]) for v, n in sorted(loads.items()) if n > cap[v]
+    )
 
 
 def path_load(net: Network, p: Path) -> LoadMap:
@@ -238,11 +265,12 @@ def path_load(net: Network, p: Path) -> LoadMap:
 
 
 def plan_load(net: Network, plan: RoutePlan) -> LoadMap:
-    """Node-wise sum of ``path_load`` over all routed copies."""
+    """Node-wise load of all routed copies; raises on a malformed path."""
+    paths = plan.paths()
+    for p in paths:
+        validate_path(net, p)
     loads = dict.fromkeys(net.nodes, 0)
-    for a in plan.assignments:
-        for v, n in path_load(net, a.path).items():
-            loads[v] += n
+    loads.update(hops_load(net, (hop for p in paths for hop in zip(p, p[1:]))))
     return loads
 
 
@@ -254,20 +282,15 @@ def check_feasible(net: Network, plan: RoutePlan) -> FeasibilityVerdict:
     well-formed paths only.
     """
     defects: list[PathDefect] = []
-    loads = dict.fromkeys(net.nodes, 0)
-    for idx, a in enumerate(plan.assignments):
+    hops: list[Hop] = []
+    for idx, p in enumerate(plan.paths()):
         try:
-            validate_path(net, a.path)
+            validate_path(net, p)
         except ValueError as exc:
             defects.append(PathDefect(idx, str(exc)))
             continue
-        for v, n in hops_load(net, zip(a.path, a.path[1:])).items():
-            loads[v] += n
-    overloads = tuple(
-        Overload(v, loads[v], net.capacity_of(v))
-        for v in sorted(net.nodes)
-        if loads[v] > net.capacity_of(v)
-    )
+        hops.extend(zip(p, p[1:]))
+    overloads = overloaded_nodes(net, hops_load(net, hops))
     return FeasibilityVerdict(
         ok=not overloads and not defects,
         overloads=overloads,

@@ -33,8 +33,7 @@ class _Router:
 
     def __init__(self, net: Network, caps: Mapping[str, float]) -> None:
         self.adj = {v: sorted(net.adjacency(v)) for v in net.nodes}
-        # Everything a transmission from v loads: v plus its whole neighborhood.
-        self.tx = {v: (v, *net.adjacency(v)) for v in net.nodes}
+        self.tx = net.transmit_sets
         self.caps = caps
         self.hops_to: dict[str, dict[str, int]] = {}  # per target, filled on use
 

@@ -126,6 +126,30 @@ class TestCheck:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0 and payload["verdict"] == "feasible"
 
+    def test_variable_outside_formula_exit_2(self, compiled, capsys):
+        code = main(
+            ["check", "--instance", str(compiled), "--assignment", A1_LITERALS + " 99"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and "[99]" in captured.err
+
+
+_GOLDEN = json.loads((FIXTURES / "cli_check_solve.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN))
+def test_check_and_solve_match_golden(compiled, capsys, case):
+    # Exit code, stdout and stderr of `check` and `solve` on the worked
+    # example, byte for byte, as written before the load, path and overload
+    # rules were merged into one definition each.
+    spec = _GOLDEN[case]
+    code = main([spec["command"], "--instance", str(compiled), *spec["args"]])
+    captured = capsys.readouterr()
+    assert code == spec["exit"]
+    assert captured.out == spec["stdout"]
+    assert captured.err == spec["stderr"]
+
 
 class TestSolve:
     def test_exact_worked_example(self, compiled, capsys):
@@ -190,6 +214,9 @@ def _malformed_cases() -> dict[str, object]:
     data = _worked_dict()
     data["flows"][0]["copies"] = "many"
     cases["copies a word"] = data
+    data = _worked_dict()
+    data["flows"][0]["copies"] = True
+    cases["copies a bool"] = data
     return cases
 
 

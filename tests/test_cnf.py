@@ -16,6 +16,7 @@ from satnc import (
     random_formula,
 )
 from conftest import A1, A2, WORKED_CLAUSES
+from oracles import exhaustive_max_sat
 
 
 class TestParseDimacs:
@@ -204,3 +205,24 @@ def test_count_invariant_under_reordering(f, seed):
         rng.shuffle(c)
     g = Formula.from_clauses(f.var_count, clauses, f.k_bound)
     assert max_sat_brute(g)[0] == max_sat_brute(f)[0]
+
+
+@st.composite
+def raw_formulas(draw):
+    """Formulas with repeated, tautological and unit clauses allowed."""
+    n = draw(st.integers(1, 5))
+    literal = st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=3), max_size=7))
+    return Formula.from_clauses(n, clauses)
+
+
+@given(formulas | raw_formulas())
+@settings(max_examples=200, deadline=None)
+def test_max_sat_matches_independent_oracle(f):
+    # The in-package SAT and MAX-SAT oracles share their clause bitmasks;
+    # the test oracle re-derives the optimum from the clause lists alone.
+    expected = exhaustive_max_sat(f.clauses, f.var_count)
+    count, witness = max_sat_brute(f)
+    assert count == expected
+    assert eval_formula(f, witness) == expected
+    assert (brute_sat(f) is None) == (expected < len(f.clauses))

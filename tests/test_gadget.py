@@ -24,7 +24,6 @@ from satnc import (
     conflict_pairs,
     eval_formula,
     max_sat_brute,
-    neighbors,
     path_to_assignment,
     preload_plan,
     random_formula,
@@ -93,11 +92,11 @@ class TestCompileCounts:
 class TestDegreeFacts:
     def test_conflict_degree_two(self, worked_instance):
         for pair in worked_instance.conflicts:
-            assert len(neighbors(worked_instance.network, f"K{pair.index}")) == 2
+            assert len(worked_instance.network.adjacency(f"K{pair.index}")) == 2
 
     def test_bypass_degree_three(self, worked_instance):
         for i in (1, 2, 3):
-            assert neighbors(worked_instance.network, f"B{i}") == {
+            assert worked_instance.network.adjacency(f"B{i}") == {
                 f"E{i}",
                 f"X{i}",
                 f"A{i}",

@@ -14,7 +14,6 @@ from satnc import (
     check_feasible,
     interference_set,
     is_elementary,
-    neighbors,
     path_load,
     plan_load,
 )
@@ -33,22 +32,22 @@ def plan_of(net: Network, *paths: tuple[str, ...]) -> RoutePlan:
 class TestNeighbors:
     def test_path_graph_middle(self):
         net = path_graph("ABC")
-        assert neighbors(net, "B") == {"A", "C"}
+        assert net.adjacency("B") == {"A", "C"}
 
     def test_isolated_node(self):
         net = make_network(["X"], [], 1)
-        assert neighbors(net, "X") == frozenset()
+        assert net.adjacency("X") == frozenset()
 
     def test_complete_graph_symmetry(self):
         net = make_network(["A", "B", "C"], [("A", "B"), ("B", "C"), ("A", "C")], 1)
         for v in net.nodes:
-            assert neighbors(net, v) == set(net.nodes) - {v}
-            for u in neighbors(net, v):
-                assert v in neighbors(net, u)
+            assert net.adjacency(v) == set(net.nodes) - {v}
+            for u in net.adjacency(v):
+                assert v in net.adjacency(u)
 
     def test_unknown_node(self):
         with pytest.raises(ValueError):
-            neighbors(path_graph("AB"), "Z")
+            path_graph("AB").adjacency("Z")
 
 
 class TestInterferenceSet:

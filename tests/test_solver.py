@@ -168,6 +168,18 @@ class TestSolveExact:
         with pytest.raises(ValueError, match="does not demand"):
             solve_exact(inst, start=extra_copy)
 
+    def test_empty_path_is_no_accepted_copy(self):
+        # a-b plus an isolated c: the a->c flow has no route, so the optimum
+        # is 0; an empty path must not pass as a routed copy.
+        net = make_network(["a", "b", "c"], [("a", "b")], 5)
+        inst = demand_instance(net, [("a", "c", 1)])
+        (flow,) = inst.flows
+        for path in ((), ("a",)):
+            with pytest.raises(ValueError, match="endpoints"):
+                RoutePlan((RouteAssignment(flow, 0, path),))
+        result = solve_exact(inst)
+        assert result.accepted_count == 0 and result.optimal
+
     def test_plan_always_feasible(self):
         inst = load_instance(FIXTURES / "greedy_gap.json")
         result = solve_exact(inst)
