@@ -129,8 +129,9 @@ class NcInstance:
         ids = tuple(info.id for info in self.node_table)
         if ids != self.network.nodes:
             raise ValueError("node table does not match the network's node set")
+        caps = self.network.capacity
         for info in self.node_table:
-            if info.capacity != self.network.capacity_of(info.id):
+            if info.capacity != caps[info.id]:
                 raise ValueError(f"capacity mismatch for node {info.id!r}")
         for flow in self.flows:
             if not self.network.has_node(flow.src) or not self.network.has_node(
@@ -391,6 +392,12 @@ def classify_path(inst: NcInstance, p: Path) -> PathClassification:
         validate_path(inst.network, p)
     except PathError as exc:
         return PathClassification("malformed", exc.bad_hop, str(exc))
+    main = inst.flows[-1]
+    if p[:1] + p[-1:] != (main.src, main.dst):
+        return PathClassification(
+            "malformed",
+            reason=f"path does not run from {main.src!r} to {main.dst!r}",
+        )
     hops = (hop for q in [*preloads.paths(), p] for hop in zip(q, q[1:]))
     overloads = overloaded_nodes(inst.network, hops_load(inst.network, hops))
     if overloads:
@@ -429,20 +436,26 @@ class AuditReport:
         return not self.failures
 
 
-def _clause_context(inst: NcInstance, i: int) -> tuple[list[Hop], list[Hop]]:
-    # Hops adjacent clauses contribute to clause i's nodes on any main route:
-    # the chain hop in, the chain hop out, and the next entry's first
-    # transmission (which reaches this clause's exit node).
+def _clause_context(inst: NcInstance, i: int) -> list[Hop]:
+    # Hops that load clause i's nodes whatever segment the main flow takes:
+    # the preload, the chain hop in, the chain hop out, and the next entry's
+    # first transmission (which reaches this clause's exit node).
     m = inst.clause_count
-    pre = [(exit_id(i - 1), entry_id(i))] if i > 1 else []
+    hops = [(preload_src_id(i), bypass_id(i))]
+    if i > 1:
+        hops.append((exit_id(i - 1), entry_id(i)))
     if i < m:
-        post = [
-            (exit_id(i), entry_id(i + 1)),
-            (entry_id(i + 1), prelit_id(i + 1, 1)),
-        ]
+        hops += [(exit_id(i), entry_id(i + 1)), (entry_id(i + 1), prelit_id(i + 1, 1))]
     else:
-        post = [(exit_id(m), TERMINAL)]
-    return pre, post
+        hops.append((exit_id(m), TERMINAL))
+    return hops
+
+
+def _hits(
+    tx: Mapping[str, tuple[str, ...]], v: str, transmitters: Iterable[str]
+) -> int:
+    """Load on ``v`` from one hop sent by each of the transmitters."""
+    return sum(v in tx[u] for u in transmitters)
 
 
 def audit(inst: NcInstance) -> AuditReport:
@@ -452,56 +465,81 @@ def audit(inst: NcInstance) -> AuditReport:
     (2) every assignment-realizable literal segment fits; (3) routing
     through a conflict node overloads it; (4) transmitting from both
     literal nodes of a complementary pair overloads their conflict node.
-    All computed by exact load arithmetic on the relevant hops.
+    All computed by exact load arithmetic on the relevant hops: a clause's
+    context load once, then each segment's transmitters on the watched
+    nodes only.
     """
     formula = _require_compiled(inst)
     net = inst.network
     cap = net.capacity
+    tx = net.transmit_sets
+    info = inst.info
+    m = len(formula.clauses)
+    # Each pair is checked once; its failures are reported under both clauses.
+    # Transmitting from both literal nodes, and the route la -> k -> lb
+    # (transmitters la and k), must each overload the conflict node k.
+    pair_blocks: dict[int, tuple[str, bool, bool]] = {}
+    for pair in inst.conflicts:
+        k = conflict_id(pair.index)
+        la, lb = lit_id(*pair.pos), lit_id(*pair.neg)
+        pair_blocks[pair.index] = (
+            k,
+            _hits(tx, k, (la, lb)) > cap[k],
+            _hits(tx, k, (la, k)) > cap[k],
+        )
+
     records: list[ClauseAudit] = []
     failures: list[str] = []
     for i, clause in enumerate(formula.clauses, 1):
-        pre, post = _clause_context(inst, i)
-        preload = [(preload_src_id(i), bypass_id(i))]
+        pairs = inst.pairs_by_clause.get(i, ())
         watch = [entry_id(i), exit_id(i), bypass_id(i), preload_src_id(i)]
         for j in range(1, len(clause) + 1):
             watch += [prelit_id(i, j), lit_id(i, j), postlit_id(i, j)]
-        watch += [conflict_id(p.index) for p in inst.pairs_by_clause.get(i, ())]
-        if i == inst.clause_count:
+        watch += [conflict_id(p.index) for p in pairs]
+        if i == m:
             watch.append(TERMINAL)
+        slot = {v: n for n, v in enumerate(watch)}
+        context = hops_load(net, _clause_context(inst, i))
+        room = [cap[v] - context.get(v, 0) for v in watch]
+        reach: dict[str, list[int]] = {}  # transmitter -> watched slots it loads
 
-        margins: dict[str, int] = {}
+        least = room[:]  # per watched node, its least margin over the segments
+        overloaded: list[int] = []  # in the order the segments overload them
         for trues in realizable_true_sets(clause):
-            seg = clause_segment(i, trues)
-            hops = preload + pre + list(zip(seg, seg[1:])) + post
-            loads = hops_load(net, hops)
-            for v in watch:
-                margin = cap[v] - loads.get(v, 0)
-                subset = inst.subset_of(v)
-                margins[subset] = min(margins.get(subset, margin), margin)
-                if margin < 0:
-                    msg = f"clause {i}: intended segment overloads {v}"
-                    if msg not in failures:
-                        failures.append(msg)
+            margin = room[:]
+            for u in clause_segment(i, trues)[:-1]:
+                slots = reach.get(u)
+                if slots is None:
+                    slots = reach[u] = [slot[w] for w in tx[u] if w in slot]
+                for n in slots:
+                    margin[n] -= 1
+            for n, left in enumerate(margin):
+                if left < least[n]:
+                    least[n] = left
+                if left < 0 and n not in overloaded:
+                    overloaded.append(n)
+        margins: dict[str, int] = {}
+        for v, left in zip(watch, least):
+            subset = info[v].subset
+            margins[subset] = min(margins.get(subset, left), left)
+        failures += [
+            f"clause {i}: intended segment overloads {watch[n]}" for n in overloaded
+        ]
 
-        route = [entry_id(i), bypass_id(i), exit_id(i)]
-        loads = hops_load(net, preload + pre + list(zip(route, route[1:])) + post)
-        bypass_blocked = loads.get(bypass_id(i), 0) > cap[bypass_id(i)]
+        bypass = bypass_id(i)
+        load = context.get(bypass, 0) + _hits(tx, bypass, (entry_id(i), bypass))
+        bypass_blocked = load > cap[bypass]
         if not bypass_blocked:
             failures.append(f"clause {i}: bypass not blocked")
 
         conflict_blocked = True
         through_blocked = True
-        for pair in inst.pairs_by_clause.get(i, ()):
-            k = conflict_id(pair.index)
-            la, lb = lit_id(*pair.pos), lit_id(*pair.neg)
-            both_tx = hops_load(
-                net, [(la, prelit_id(*pair.pos)), (lb, prelit_id(*pair.neg))]
-            )
-            if both_tx.get(k, 0) <= cap[k]:
+        for pair in pairs:
+            k, conflict, through = pair_blocks[pair.index]
+            if not conflict:
                 conflict_blocked = False
                 failures.append(f"clause {i}: conflict not blocked ({k})")
-            through = hops_load(net, [(la, k), (k, lb)])
-            if through.get(k, 0) <= cap[k]:
+            if not through:
                 through_blocked = False
                 failures.append(f"clause {i}: conflict through-route not blocked ({k})")
 

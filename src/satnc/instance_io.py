@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from pathlib import Path as FsPath
 
 from .cnf import emit_dimacs, parse_dimacs
@@ -22,7 +23,6 @@ _SUBSET_SHAPES = {
 
 
 def instance_to_dict(inst: NcInstance) -> dict:
-    edges = sorted(tuple(sorted(e)) for e in inst.network.edges())
     return {
         "schema_version": SCHEMA_VERSION,
         "nodes": [
@@ -34,7 +34,7 @@ def instance_to_dict(inst: NcInstance) -> dict:
             }
             for n in inst.node_table
         ],
-        "edges": [list(e) for e in edges],
+        "edges": [list(e) for e in inst.network.edges()],
         "flows": [
             {
                 "src": f.src,
@@ -48,30 +48,26 @@ def instance_to_dict(inst: NcInstance) -> dict:
     }
 
 
-_NODE_FIELDS = {
-    "id": str,
-    "paper_index": (str, type(None)),
-    "subset": str,
-    "capacity": int,
-}
-_FLOW_FIELDS = {"src": str, "dst": str, "copies": (int, str), "label": str}
+_NODES_SHAPE = (
+    "each of 'nodes' must be an object with fields id, paper_index, subset, capacity"
+)
+_FLOWS_SHAPE = "each of 'flows' must be an object with fields src, dst, copies, label"
+_EDGES_SHAPE = "'edges' must be a list of node-id pairs"
+_MISSING = object()
+
+
+def _malformed(what: str) -> ValueError:
+    return ValueError(f"malformed instance: {what}")
 
 
 def _require(ok: bool, what: str) -> None:
     if not ok:
-        raise ValueError(f"malformed instance: {what}")
+        raise _malformed(what)
 
 
-def _records(data: dict, key: str, fields: dict) -> list:
-    """The list under ``key``, each item an object with the typed fields."""
+def _list(data: dict, key: str) -> list:
     items = data.get(key)
     _require(isinstance(items, list), f"{key!r} must be a list")
-    for item in items:
-        _require(
-            isinstance(item, dict)
-            and all(isinstance(item.get(f, ...), kind) for f, kind in fields.items()),
-            f"each of {key!r} must be an object with fields {', '.join(fields)}",
-        )
     return items
 
 
@@ -82,30 +78,46 @@ def instance_from_dict(data: dict) -> NcInstance:
         raise ValueError(
             f"unsupported schema_version {data.get('schema_version')!r}"
         )
-    nodes = _records(data, "nodes", _NODE_FIELDS)
-    flows = _records(data, "flows", _FLOW_FIELDS)
-    _require(
-        all(isinstance(f["copies"], int) or f["copies"] == "unbounded" for f in flows),
-        'flow copies must be an integer or "unbounded"',
-    )
+    table: list[NodeInfo] = []
+    for n in _list(data, "nodes"):
+        if not (
+            isinstance(n, dict)
+            and isinstance(n.get("id"), str)
+            and isinstance(n.get("paper_index", _MISSING), (str, type(None)))
+            and isinstance(n.get("subset"), str)
+            and isinstance(n.get("capacity"), int)
+        ):
+            raise _malformed(_NODES_SHAPE)
+        table.append(NodeInfo(n["id"], n["paper_index"], n["subset"], n["capacity"]))
+    flows = _list(data, "flows")
+    copies_ok = True
+    for f in flows:
+        if not (
+            isinstance(f, dict)
+            and isinstance(f.get("src"), str)
+            and isinstance(f.get("dst"), str)
+            and isinstance(f.get("copies"), (int, str))
+            and isinstance(f.get("label"), str)
+        ):
+            raise _malformed(_FLOWS_SHAPE)
+        copies_ok = copies_ok and (
+            isinstance(f["copies"], int) or f["copies"] == "unbounded"
+        )
+    _require(copies_ok, 'flow copies must be an integer or "unbounded"')
     edges = data.get("edges")
-    _require(
-        isinstance(edges, list)
-        and all(
-            isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e)
-            for e in edges
-        ),
-        "'edges' must be a list of node-id pairs",
-    )
+    _require(isinstance(edges, list), _EDGES_SHAPE)
+    for e in edges:
+        if not (
+            isinstance(e, list)
+            and len(e) == 2
+            and isinstance(e[0], str)
+            and isinstance(e[1], str)
+        ):
+            raise _malformed(_EDGES_SHAPE)
     formula_text = data.get("formula")
     _require(isinstance(formula_text, (str, type(None))), "'formula' must be a string")
-    table = tuple(
-        NodeInfo(n["id"], n["paper_index"], n["subset"], n["capacity"]) for n in nodes
-    )
     network = Network(
-        (n.id for n in table),
-        (tuple(e) for e in edges),
-        {n.id: n.capacity for n in table},
+        (n.id for n in table), edges, {n.id: n.capacity for n in table}
     )
     requests = tuple(
         FlowRequest(
@@ -120,11 +132,45 @@ def instance_from_dict(data: dict) -> NcInstance:
     conflicts: tuple[ConflictPair, ...] = ()
     if formula is not None:
         conflicts = conflict_pairs(formula)
-    return NcInstance(network, requests, table, formula, conflicts)
+    return NcInstance(network, requests, tuple(table), formula, conflicts)
+
+
+def _json_array(items: list[str]) -> str:
+    """Encoded items laid out as json's ``indent=2`` lays out the array of
+    a top-level key."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
+def _json_string(text: str | None) -> str:
+    return "null" if text is None else encode_basestring_ascii(text)
 
 
 def dumps_instance(inst: NcInstance) -> str:
-    return json.dumps(instance_to_dict(inst), indent=2) + "\n"
+    """``json.dumps(instance_to_dict(inst), indent=2)`` plus a newline, byte
+    for byte, written here: json lays out ``indent`` in pure Python."""
+    q = encode_basestring_ascii
+    nodes = [
+        f'{{\n      "id": {q(n.id)},\n'
+        f'      "paper_index": {_json_string(n.paper_index)},\n'
+        f'      "subset": {q(n.subset)},\n'
+        f'      "capacity": {n.capacity}\n    }}'
+        for n in inst.node_table
+    ]
+    edges = [f"[\n      {q(u)},\n      {q(v)}\n    ]" for u, v in inst.network.edges()]
+    flows = [
+        f'{{\n      "src": {q(f.src)},\n      "dst": {q(f.dst)},\n'
+        f'      "copies": {q("unbounded") if f.copies is None else f.copies},\n'
+        f'      "label": {q(f.label)}\n    }}'
+        for f in inst.flows
+    ]
+    formula = _json_string(None if inst.formula is None else emit_dimacs(inst.formula))
+    return (
+        f'{{\n  "schema_version": {SCHEMA_VERSION},\n'
+        f'  "nodes": {_json_array(nodes)},\n'
+        f'  "edges": {_json_array(edges)},\n'
+        f'  "flows": {_json_array(flows)},\n'
+        f'  "formula": {formula}\n}}\n'
+    )
 
 
 def loads_instance(text: str) -> NcInstance:
@@ -147,7 +193,7 @@ def to_dot(inst: NcInstance) -> str:
         label = n.id if n.paper_index is None else f"{n.id} {n.paper_index}"
         shape = _SUBSET_SHAPES.get(n.subset, "plaintext")
         lines.append(f'  "{n.id}" [shape={shape}, label="{label} [{n.capacity}]"];')
-    for u, v in sorted(tuple(sorted(e)) for e in inst.network.edges()):
+    for u, v in inst.network.edges():
         lines.append(f'  "{u}" -- "{v}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

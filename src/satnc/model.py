@@ -24,7 +24,7 @@ LoadMap = dict[str, int]
 class Network:
     """Undirected, loop-free graph with a non-negative capacity per node."""
 
-    __slots__ = ("_nodes", "_adj", "_capacity", "_tx")
+    __slots__ = ("_nodes", "_adj", "_capacity", "_tx", "_edges")
 
     def __init__(
         self,
@@ -55,6 +55,7 @@ class Network:
         self._adj = {v: frozenset(members) for v, members in adj.items()}
         self._tx = {v: (v, *members) for v, members in adj.items()}
         self._capacity = caps
+        self._edges: tuple[tuple[str, str], ...] | None = None  # sorted on first use
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -74,10 +75,12 @@ class Network:
     def has_edge(self, u: str, v: str) -> bool:
         return u in self._adj and v in self._adj[u]
 
-    def edges(self) -> list[tuple[str, str]]:
+    def edges(self) -> tuple[tuple[str, str], ...]:
         """Every undirected edge once, as sorted pairs in sorted order."""
-        out = {tuple(sorted((u, v))) for u in self._nodes for v in self._adj[u]}
-        return sorted(out)
+        if self._edges is None:
+            adj = self._adj
+            self._edges = tuple(sorted((u, v) for u in adj for v in adj[u] if u < v))
+        return self._edges
 
     def _require(self, v: str) -> None:
         if v not in self._capacity:

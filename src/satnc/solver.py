@@ -36,6 +36,29 @@ class _Router:
         self.tx = net.transmit_sets
         self.caps = caps
         self.hops_to: dict[str, dict[str, int]] = {}  # per target, filled on use
+        self.component: dict[str, dict[str, int]] = {}  # per node, filled on use
+
+    def _hops(self, t: str) -> dict[str, int]:
+        """Hops to ``t`` from every node that can reach it."""
+        dist = {t: 0}
+        queue = [t]
+        for u in queue:  # breadth first; the queue grows as it is read
+            for w in self.adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return dist
+
+    def _component_of(self, t: str) -> dict[str, int]:
+        """Every node of ``t``'s connected component, mapped to 0.  The
+        first call labels all components, so the graph is walked once."""
+        if not self.component:
+            for v in self.adj:
+                if v not in self.component:
+                    members = dict.fromkeys(self._hops(v), 0)
+                    for w in members:
+                        self.component[w] = members
+        return self.component[t]
 
     def paths(
         self,
@@ -52,21 +75,21 @@ class _Router:
         Depth-first without recursion.  A prefix is cut once some node's
         ``load`` plus the prefix's own load exceeds its capacity (a path's
         load depends only on its transmitters, so this is a lower bound), or
-        once its hops plus the distance left to ``t`` exceed ``max_hops``.
+        once its hops plus the distance left to ``t`` exceed ``max_hops``;
+        without a hop limit, once it leaves ``t``'s connected component.
         ``load`` is read live: a caller may change it between resumptions
         if it restores it first.  The delta may list nodes with 0.
         """
         adj, tx, caps = self.adj, self.tx, self.caps
-        dist = self.hops_to.get(t)
-        if dist is None:
-            dist = self.hops_to[t] = {t: 0}
-            queue = [t]
-            for u in queue:  # breadth first; the queue grows as it is read
-                for w in adj[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        queue.append(w)
-        max_hops = len(adj) if max_hops is None else max_hops
+        if max_hops is None:
+            # Without a hop limit only reachability cuts: 0 hops for every
+            # node of t's component stands in for its distance.
+            dist = self._component_of(t)
+            max_hops = len(adj)
+        else:
+            dist = self.hops_to.get(t)
+            if dist is None:
+                dist = self.hops_to[t] = self._hops(t)
         own: dict[str, int] = {}
 
         def fits(u: str) -> bool:

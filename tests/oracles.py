@@ -3,12 +3,27 @@
 Everything here is written from the ground rules only: adjacency is an
 edge-list scan, interference membership is re-derived per node, path
 enumeration is plain recursion, and the plan optimum is an exhaustive
-sweep.  Nothing imports the package's load or search code.
+sweep.  Nothing imports the package's load or search code; the reference
+audit borrows only the compiler's node names and report types.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from satnc.gadget import (
+    TERMINAL,
+    AuditReport,
+    ClauseAudit,
+    bypass_id,
+    conflict_id,
+    entry_id,
+    exit_id,
+    lit_id,
+    postlit_id,
+    preload_src_id,
+    prelit_id,
+)
 
 
 def edge_key(u: str, v: str) -> tuple[str, str]:
@@ -110,3 +125,99 @@ def exhaustive_max_sat(clauses, var_count) -> int:
         a = dict(zip(range(1, var_count + 1), bits))
         best = max(best, satisfied_clauses(clauses, a))
     return best
+
+
+def _hop_loads(adjacency, hops) -> dict[str, int]:
+    """Sparse load of a bag of hops: each charges its transmitter and every
+    neighbor of the transmitter (the receiver among them)."""
+    load: dict[str, int] = {}
+    for u, _ in hops:
+        for v in (u, *adjacency[u]):
+            load[v] = load.get(v, 0) + 1
+    return load
+
+
+def _realizable_true_sets(clause) -> list[tuple[int, ...]]:
+    variables = sorted({abs(lit) for lit in clause})
+    seen = set()
+    for bits in itertools.product((False, True), repeat=len(variables)):
+        value = dict(zip(variables, bits))
+        trues = tuple(
+            j for j, lit in enumerate(clause, 1) if value[abs(lit)] == (lit > 0)
+        )
+        if trues:
+            seen.add(trues)
+    return sorted(seen)
+
+
+def reference_audit(inst) -> AuditReport:
+    """The gadget audit as first written: one full load sum per candidate
+    route, every watched node read for every segment, and each conflict
+    pair checked from both of its clauses."""
+    formula = inst.formula
+    net = inst.network
+    adjacency = {v: net.adjacency(v) for v in net.nodes}
+    cap = dict(net.capacity)
+    subset_of = {n.id: n.subset for n in inst.node_table}
+    m = len(formula.clauses)
+    records = []
+    failures: list[str] = []
+    for i, clause in enumerate(formula.clauses, 1):
+        pre = [(exit_id(i - 1), entry_id(i))] if i > 1 else []
+        if i < m:
+            post = [
+                (exit_id(i), entry_id(i + 1)),
+                (entry_id(i + 1), prelit_id(i + 1, 1)),
+            ]
+        else:
+            post = [(exit_id(m), TERMINAL)]
+        preload = [(preload_src_id(i), bypass_id(i))]
+        pairs = [p for p in inst.conflicts if i in (p.pos[0], p.neg[0])]
+        watch = [entry_id(i), exit_id(i), bypass_id(i), preload_src_id(i)]
+        for j in range(1, len(clause) + 1):
+            watch += [prelit_id(i, j), lit_id(i, j), postlit_id(i, j)]
+        watch += [conflict_id(p.index) for p in pairs]
+        if i == m:
+            watch.append(TERMINAL)
+
+        margins: dict[str, int] = {}
+        for trues in _realizable_true_sets(clause):
+            seg = [entry_id(i), prelit_id(i, trues[0])]
+            seg += [lit_id(i, j) for j in trues]
+            seg += [postlit_id(i, trues[-1]), exit_id(i)]
+            load = _hop_loads(adjacency, preload + pre + list(zip(seg, seg[1:])) + post)
+            for v in watch:
+                margin = cap[v] - load.get(v, 0)
+                subset = subset_of[v]
+                margins[subset] = min(margins.get(subset, margin), margin)
+                if margin < 0:
+                    msg = f"clause {i}: intended segment overloads {v}"
+                    if msg not in failures:
+                        failures.append(msg)
+
+        route = [entry_id(i), bypass_id(i), exit_id(i)]
+        load = _hop_loads(adjacency, preload + pre + list(zip(route, route[1:])) + post)
+        bypass_blocked = load.get(bypass_id(i), 0) > cap[bypass_id(i)]
+        if not bypass_blocked:
+            failures.append(f"clause {i}: bypass not blocked")
+
+        conflict_blocked = True
+        through_blocked = True
+        for pair in pairs:
+            k = conflict_id(pair.index)
+            la, lb = lit_id(*pair.pos), lit_id(*pair.neg)
+            both_tx = _hop_loads(
+                adjacency, [(la, prelit_id(*pair.pos)), (lb, prelit_id(*pair.neg))]
+            )
+            if both_tx.get(k, 0) <= cap[k]:
+                conflict_blocked = False
+                failures.append(f"clause {i}: conflict not blocked ({k})")
+            through = _hop_loads(adjacency, [(la, k), (k, lb)])
+            if through.get(k, 0) <= cap[k]:
+                through_blocked = False
+                failures.append(f"clause {i}: conflict through-route not blocked ({k})")
+
+        records.append(
+            ClauseAudit(i, margins, bypass_blocked, conflict_blocked, through_blocked)
+        )
+    return AuditReport(tuple(records), tuple(failures))

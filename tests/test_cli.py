@@ -108,6 +108,15 @@ class TestCheck:
         assert "malformed" in out
         assert "n_4^2 -> n_8^3" in out
 
+    @pytest.mark.parametrize("path", ["", "E1", "T", "E1,P1.1", "X1,E2", "T,X3"])
+    def test_path_missing_an_endpoint_malformed(self, compiled, capsys, path):
+        code = main(["check", "--instance", str(compiled), "--path", path, "--json"])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "verdict": "malformed",
+            "reason": "path does not run from 'E1' to 'T'",
+        }
+
     def test_unknown_node_exit_2(self, compiled, capsys):
         code = main(["check", "--instance", str(compiled), "--path", "n_1^1,n_9^9"])
         assert code == 2
@@ -217,7 +226,36 @@ def _malformed_cases() -> dict[str, object]:
     data = _worked_dict()
     data["flows"][0]["copies"] = True
     cases["copies a bool"] = data
+    data = _worked_dict()
+    data["nodes"].append(dict(data["nodes"][3]))
+    cases["duplicate node id"] = data
+    data = _worked_dict()
+    data["edges"].append(["E1", "Z9"])
+    cases["edge to an unknown node"] = data
+    data = _worked_dict()
+    data["edges"].append(["B2", "B2"])
+    cases["self-loop"] = data
+    data = _worked_dict()
+    data["nodes"][5]["capacity"] = True
+    cases["capacity a bool"] = data
+    data = _worked_dict()
+    data["nodes"][5]["capacity"] = -1
+    cases["capacity negative"] = data
+    data = _worked_dict()
+    data["flows"][1]["dst"] = "Z9"
+    cases["flow to an unknown node"] = data
     return cases
+
+
+# The whole stderr of the cases the network and instance constructors reject.
+_MALFORMED_ERRORS = {
+    "capacity a bool": "error: capacity of 'P1.2' must be a non-negative integer\n",
+    "capacity negative": "error: capacity of 'P1.2' must be a non-negative integer\n",
+    "duplicate node id": "error: duplicate node ids\n",
+    "edge to an unknown node": "error: edge ('E1', 'Z9') references an unknown node\n",
+    "flow to an unknown node": "error: flow 'preload-2' references unknown nodes\n",
+    "self-loop": "error: self-loop on 'B2'\n",
+}
 
 
 class TestMalformedInstance:
@@ -234,6 +272,7 @@ class TestMalformedInstance:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
+        assert err == _MALFORMED_ERRORS.get(name, err)
 
 
 _JSON_VALUES = st.recursive(

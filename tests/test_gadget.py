@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,7 @@ from satnc import (
     solve_exact,
 )
 from conftest import A1, A2, BROKEN_PATH_RAW
-from oracles import subset_sizes
+from oracles import reference_audit, subset_sizes
 
 
 def paper_names(inst, path):
@@ -182,6 +183,39 @@ class TestAudit:
     def test_squeezed_literal_capacity_overloads_intended_path(self, worked_formula):
         report = audit(compile_formula(worked_formula, CapacityPreset(literal=3)))
         assert any("intended segment overloads" in f for f in report.failures)
+
+
+def test_audit_matches_reference_audit():
+    """Random formulas of widths 2-4, repeated and tautological literals
+    included, under the default capacities and under random presets that
+    break the gadget: the report, the order of its failures and of each
+    clause's margins equal the reference audit's."""
+    rng = random.Random(7)
+    kinds = (
+        "intended segment overloads",
+        "bypass not blocked",
+        "conflict not blocked",
+        "through-route not blocked",
+    )
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(2, 5)
+        lits = [v * sign for v in range(1, n + 1) for sign in (1, -1)]
+        clauses = [
+            [rng.choice(lits) for _ in range(rng.randint(2, 4))]
+            for _ in range(rng.randint(1, 6))
+        ]
+        caps = CapacityPreset()
+        if rng.random() < 0.7:
+            caps = CapacityPreset(*(rng.randint(0, 6) for _ in range(6)))
+        inst = compile_formula(Formula.from_clauses(n, clauses), caps)
+        report, expected = audit(inst), reference_audit(inst)
+        assert report == expected, (clauses, caps)
+        assert [list(r.margins.items()) for r in report.clauses] == [
+            list(r.margins.items()) for r in expected.clauses
+        ]
+        seen.update(kind for f in report.failures for kind in kinds if kind in f)
+    assert seen == set(kinds)
 
 
 class TestAssignmentPlan:

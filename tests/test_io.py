@@ -1,14 +1,48 @@
 from __future__ import annotations
 
+import json
+
+import pytest
+
 from satnc import (
+    FlowRequest,
+    Formula,
+    Network,
+    compile_formula,
     dumps_instance,
     instance_from_dict,
     instance_to_dict,
     load_instance,
     loads_instance,
+    plain_instance,
+    random_formula,
     to_dot,
 )
 from conftest import FIXTURES
+
+
+def _writer_cases() -> dict[str, object]:
+    cases: dict[str, object] = {
+        f"compiled ({n}, {m}, {k}) seed {seed}": compile_formula(
+            random_formula(n, m, k, seed)
+        )
+        for n, m, k, seed in [(3, 1, 2, 0), (4, 5, 3, 1), (6, 12, 3, 2), (5, 8, 4, 3)]
+    }
+    cases["compiled with repeated literals"] = compile_formula(
+        Formula.from_clauses(2, [(1, 1, -1), (-2, 2), (1, -2, -2)])
+    )
+    cases["greedy_gap.json"] = load_instance(FIXTURES / "greedy_gap.json")
+    # Plain instances carry a null paper_index on every node.
+    net = Network(["s", "m", "t"], [("m", "s"), ("t", "m")], {"s": 1, "m": 2, "t": 0})
+    cases["no flows"] = plain_instance(net, [])
+    cases["non-ASCII label"] = plain_instance(
+        net, [FlowRequest("s", "t", None, 'débit "é→ü" \\ 🚀\n')]
+    )
+    data = instance_to_dict(cases["no flows"])
+    data["nodes"][1].update(id="μ", paper_index="n_μ\t")
+    data["edges"] = [["μ" if v == "m" else v for v in e] for e in data["edges"]]
+    cases["non-ASCII node"] = instance_from_dict(data)
+    return cases
 
 
 class TestJson:
@@ -49,6 +83,13 @@ class TestJson:
             assert "schema_version" in str(exc)
         else:
             raise AssertionError("expected a ValueError")
+
+    @pytest.mark.parametrize("name", sorted(_writer_cases()))
+    def test_writer_matches_json_dumps(self, name):
+        inst = _writer_cases()[name]
+        text = dumps_instance(inst)
+        assert text == json.dumps(instance_to_dict(inst), indent=2) + "\n"
+        assert loads_instance(text) == inst
 
     def test_id_map_round_trips(self, worked_instance):
         back = loads_instance(dumps_instance(worked_instance))

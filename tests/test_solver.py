@@ -114,6 +114,17 @@ class TestSolveExact:
         result = solve_exact(inst)
         assert result.accepted_count == 2 and result.optimal  # preloads only
 
+    def test_destination_in_another_component_rejected(self):
+        # Two components: a-b-c and d-e.  Flows into the other component
+        # have no path; the rest are routed.
+        net = make_network(
+            ["a", "b", "c", "d", "e"], [("a", "b"), ("b", "c"), ("d", "e")], 4
+        )
+        inst = demand_instance(net, [("a", "e", 1), ("a", "c", 1), ("d", "b", 1)])
+        result = solve_exact(inst)
+        assert result.accepted_count == 1 and result.optimal
+        assert result.plan.paths() == [("a", "b", "c")]
+
     def test_budget_exhaustion_flagged(self):
         net = path_graph("ABCDE", cap=6)
         inst = demand_instance(net, [("A", "E", 2), ("B", "D", 2)])
