@@ -7,7 +7,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterator, Mapping
+from typing import Collection, Iterable, Iterator
 
 from .gadget import NcInstance
 from .model import Network, Path, RouteAssignment, RoutePlan, check_feasible
@@ -29,110 +29,153 @@ class _Stop(Exception):
 
 
 class _Router:
-    """Elementary s-t paths of one network, searched on demand."""
+    """Elementary s-t paths of one network, searched on demand.
 
-    def __init__(self, net: Network, caps: Mapping[str, float]) -> None:
-        self.adj = {v: sorted(net.adjacency(v)) for v in net.nodes}
-        self.tx = net.transmit_sets
-        self.caps = caps
-        self.hops_to: dict[str, dict[str, int]] = {}  # per target, filled on use
-        self.component: dict[str, dict[str, int]] = {}  # per node, filled on use
+    Nodes are numbered in sorted id order, so index tuples compare as the
+    id tuples do; adjacency lists and transmit sets are tuples of indices.
+    The search reads and writes a caller's ``room`` list, indexed the same
+    way: ``room[v]`` is how many more transmissions node ``v`` can hear.
+    """
 
-    def _hops(self, t: str) -> dict[str, int]:
-        """Hops to ``t`` from every node that can reach it."""
-        dist = {t: 0}
+    def __init__(self, net: Network) -> None:
+        self.ids = ids = tuple(sorted(net.nodes))
+        index = self.index = {v: i for i, v in enumerate(ids)}
+        self.adj = tuple(
+            tuple(sorted(index[w] for w in net.adjacency(v))) for v in ids
+        )
+        tx = net.transmit_sets
+        self.tx = tuple(tuple(index[w] for w in tx[v]) for v in ids)
+        self.capacity = tuple(net.capacity[v] for v in ids)
+        self.hops_to: dict[int, list[int]] = {}  # per target, filled on use
+        self.component: list[int] = []  # a label per node, filled on use
+
+    def path_ids(self, path: tuple[int, ...]) -> Path:
+        return tuple(map(self.ids.__getitem__, path))
+
+    def charge(self, room: list, transmitters: Iterable[int], n: int) -> None:
+        """Add ``n`` to the room of every node the transmitters load."""
+        tx = self.tx
+        for u in transmitters:
+            for v in tx[u]:
+                room[v] += n
+
+    def _hops(self, t: int) -> list[int]:
+        """Hops to ``t`` from every node; ``len(adj)``, more than any path
+        has, from nodes that cannot reach it."""
+        adj = self.adj
+        far = len(adj)
+        dist = [far] * far
+        dist[t] = 0
         queue = [t]
         for u in queue:  # breadth first; the queue grows as it is read
-            for w in self.adj[u]:
-                if w not in dist:
+            for w in adj[u]:
+                if dist[w] == far:
                     dist[w] = dist[u] + 1
                     queue.append(w)
         return dist
 
-    def _component_of(self, t: str) -> dict[str, int]:
-        """Every node of ``t``'s connected component, mapped to 0.  The
-        first call labels all components, so the graph is walked once."""
+    def _components(self) -> list[int]:
+        """A connected-component label per node; the graph is walked once."""
         if not self.component:
-            for v in self.adj:
-                if v not in self.component:
-                    members = dict.fromkeys(self._hops(v), 0)
-                    for w in members:
-                        self.component[w] = members
-        return self.component[t]
+            adj = self.adj
+            label = self.component = [-1] * len(adj)
+            for root in range(len(adj)):
+                if label[root] < 0:
+                    label[root] = root
+                    queue = [root]
+                    for u in queue:
+                        for w in adj[u]:
+                            if label[w] < 0:
+                                label[w] = root
+                                queue.append(w)
+        return self.component
 
     def paths(
         self,
-        s: str,
-        t: str,
-        load: Mapping[str, int],
-        floor: Path = (),
+        s: int,
+        t: int,
+        room: list,
+        floor: tuple[int, ...] = (),
         max_hops: int | None = None,
-    ) -> Iterator[tuple[Path, dict[str, int]]]:
-        """Yield ``(path, load delta)`` for each path that fits on top of
-        ``load``, in lexicographic order of node ids, from ``floor`` on and
-        with at most ``max_hops`` hops.
+    ) -> Iterator[tuple[int, ...]]:
+        """Yield each s-t path that fits in ``room``, in lexicographic order,
+        from ``floor`` on and with at most ``max_hops`` hops.
 
-        Depth-first without recursion.  A prefix is cut once some node's
-        ``load`` plus the prefix's own load exceeds its capacity (a path's
-        load depends only on its transmitters, so this is a lower bound), or
-        once its hops plus the distance left to ``t`` exceed ``max_hops``;
-        without a hop limit, once it leaves ``t``'s connected component.
-        ``load`` is read live: a caller may change it between resumptions
-        if it restores it first.  The delta may list nodes with 0.
+        Depth-first without recursion.  Each trail node takes one unit of
+        room from every node of its transmit set and gives it back when the
+        search backtracks; a prefix is cut once that would leave some node
+        without room (a path's load depends only on its transmitters, so the
+        prefix's load is a lower bound), or once its hops plus the distance
+        left to ``t`` exceed ``max_hops``.  ``room`` is mutated during the
+        search but restored before every yield, so a caller sees its own
+        values between resumptions, and a generator closed or dropped at a
+        yield leaves nothing behind.  A caller may change ``room`` while the
+        generator is suspended if it restores it before resuming.
         """
-        adj, tx, caps = self.adj, self.tx, self.caps
-        if max_hops is None:
-            # Without a hop limit only reachability cuts: 0 hops for every
-            # node of t's component stands in for its distance.
-            dist = self._component_of(t)
-            max_hops = len(adj)
-        else:
+        adj, tx = self.adj, self.tx
+        limited = max_hops is not None
+        if limited:
             dist = self.hops_to.get(t)
             if dist is None:
                 dist = self.hops_to[t] = self._hops(t)
-        own: dict[str, int] = {}
-
-        def fits(u: str) -> bool:
-            for v in tx[u]:
-                if load[v] + own.get(v, 0) >= caps[v]:
-                    return False
-            for v in tx[u]:
-                own[v] = own.get(v, 0) + 1
-            return True
-
-        if not fits(s):
-            return
+        else:
+            comp = self._components()
+            if comp[s] != comp[t]:
+                return  # nothing reachable from s can reach t
+        for v in tx[s]:
+            if room[v] <= 0:
+                return
+        self.charge(room, (s,), -1)
         trail = [s]
-        on_trail = {s}
-        tight = 1 if floor else 0  # leading trail nodes equal to the floor's
-        nxt = [adj[s].index(floor[1]) if floor else 0]
-        while trail:
-            u = trail[-1]
-            i = nxt[-1]
-            kids = adj[u]
-            if i == len(kids):
-                trail.pop()
-                on_trail.discard(u)
-                nxt.pop()
-                tight = min(tight, len(trail))
-                for v in tx[u]:
-                    own[v] -= 1
-                continue
-            nxt[-1] = i + 1
-            w = kids[i]
-            if w == t:
-                yield (*trail, t), dict(own)
-            elif (
-                w not in on_trail
-                and len(trail) + dist.get(w, max_hops) <= max_hops
-                and fits(w)
+        on_trail = bytearray(len(adj))
+        on_trail[s] = 1
+        # One child iterator per trail node.  Along the floor each level
+        # resumes past the floor's node, and the deepest at it, so the
+        # search below starts with the floor itself.
+        levels = []
+        kids = adj[s]
+        for w in floor[1:]:
+            i = kids.index(w)
+            if (
+                w == t
+                or (limited and len(trail) + dist[w] > max_hops)
+                or not all(room[v] > 0 for v in tx[w])
             ):
-                if tight == len(trail) and floor[tight] == w:
-                    tight += 1
-                trail.append(w)
-                on_trail.add(w)
-                # While the trail follows the floor, resume at the floor's child.
-                nxt.append(adj[w].index(floor[tight]) if tight == len(trail) else 0)
+                levels.append(iter(kids[i:]))
+                break
+            levels.append(iter(kids[i + 1 :]))
+            self.charge(room, (w,), -1)
+            trail.append(w)
+            on_trail[w] = 1
+            kids = adj[w]
+        else:
+            levels.append(iter(kids))
+        while levels:
+            for w in levels[-1]:
+                if w == t:
+                    self.charge(room, trail, 1)
+                    yield (*trail, t)
+                    self.charge(room, trail, -1)
+                elif not on_trail[w] and (
+                    not limited or len(trail) + dist[w] <= max_hops
+                ):
+                    txw = tx[w]
+                    for v in txw:
+                        if room[v] <= 0:
+                            break
+                    else:
+                        for v in txw:
+                            room[v] -= 1
+                        trail.append(w)
+                        on_trail[w] = 1
+                        levels.append(iter(adj[w]))
+                        break
+            else:
+                levels.pop()
+                u = trail.pop()
+                on_trail[u] = 0
+                for v in tx[u]:
+                    room[v] += 1
 
 
 def enum_paths(
@@ -149,9 +192,10 @@ def enum_paths(
         raise ValueError("source equals destination")
     net._require(s)
     net._require(t)
-    caps = {v: (budget or {}).get(v, math.inf) for v in net.nodes}
-    found = (p for p, _ in _Router(net, caps).paths(s, t, dict.fromkeys(net.nodes, 0)))
-    paths = list(itertools.islice(found, limit))
+    router = _Router(net)
+    room = [(budget or {}).get(v, math.inf) for v in router.ids]
+    found = router.paths(router.index[s], router.index[t], room)
+    paths = [router.path_ids(p) for p in itertools.islice(found, limit)]
     return paths, next(found, None) is not None
 
 
@@ -182,23 +226,30 @@ def solve_exact(
     many copies the residual capacity at its endpoints could still carry.
     ``start``, a feasible plan that routes every required flow, is the
     first incumbent, so the bound prunes against it from the root.  The
-    result is optimal unless the node budget ran out; when no plan routes
-    every required flow, it accepts 0 copies with an empty plan.
+    result is optimal unless the node budget (at least 1) ran out; when no
+    plan routes every required flow, it accepts 0 copies with an empty plan.
+
+    The residual capacity is one list, ``room[v] = capacity - load``: a
+    routed copy takes its load from it and gives it back on backtrack, and
+    the path search mutates it too but restores it before every yield, so
+    each branch sees exactly the room its routed copies leave.
     """
+    if budget < 1:
+        raise ValueError(f"node budget must be at least 1, got {budget}")
     required = frozenset(required)
     if not required <= set(range(len(inst.flows))):
         raise ValueError(f"required flow indices out of range: {sorted(required)}")
     net = inst.network
-    caps = dict(net.capacity)
-    router = _Router(net, caps)
+    router = _Router(net)
+    room = list(router.capacity)
     copies = _effective_copies(inst)
-    load = dict.fromkeys(net.nodes, 0)
-    # Each flow's first path at the root, None when it has no path at all.
-    root_path = [next(router.paths(f.src, f.dst, load), None) for f in inst.flows]
+    ends = [(router.index[f.src], router.index[f.dst]) for f in inst.flows]
+    # Whether each flow has a path at the root.
+    routable = [next(router.paths(s, t, room), None) is not None for s, t in ends]
     # A copy loads its source twice unless s-t is one hop: the second
     # transmitter is in the source's range.  Its destination hears one.
     min_src = [1 if net.has_edge(f.src, f.dst) else 2 for f in inst.flows]
-    plan: list[RouteAssignment] = []
+    plan: list[tuple[int, int, tuple[int, ...]]] = []  # (flow, copy, path)
     best_count = -1
     best_plan: tuple[RouteAssignment, ...] = ()
     if start is not None:
@@ -207,12 +258,10 @@ def solve_exact(
     explored = 0
 
     def endpoint_ub(fi: int) -> int:
-        flow = inst.flows[fi]
-        room_src = caps[flow.src] - load[flow.src]
-        room_dst = caps[flow.dst] - load[flow.dst]
-        if root_path[fi] is None or room_src <= 0 or room_dst <= 0:
+        s, t = ends[fi]
+        if not routable[fi] or room[s] <= 0 or room[t] <= 0:
             return 0
-        return min(room_src // min_src[fi], room_dst)
+        return min(room[s] // min_src[fi], room[t])
 
     def supply_bound(fi: int, ci: int) -> int:
         total = min(copies[fi] - ci, endpoint_ub(fi))
@@ -225,7 +274,7 @@ def solve_exact(
     # child branch, then stops routing the flow and moves on in its place.
     stack: list[list] = []
 
-    def enter(fi: int, ci: int, floor: Path, accepted: int) -> None:
+    def enter(fi: int, ci: int, floor: tuple[int, ...], accepted: int) -> None:
         """Open a branch: settle it here or push its frame."""
         nonlocal best_count, best_plan, explored
         explored += 1
@@ -234,37 +283,32 @@ def solve_exact(
         if fi == len(inst.flows):
             if accepted > best_count:
                 best_count = accepted
-                best_plan = tuple(plan)
+                best_plan = tuple(
+                    RouteAssignment(inst.flows[f], c, router.path_ids(p))
+                    for f, c, p in plan
+                )
             return
         if accepted + supply_bound(fi, ci) <= best_count:
             return
-        flow = inst.flows[fi]
-        # The search reads ``load`` live; it is restored before each resumption.
-        paths = (
-            router.paths(flow.src, flow.dst, load, floor)
-            if ci < copies[fi]
-            else iter(())
-        )
-        stack.append([fi, ci, accepted, paths, None])  # last: the routed delta
+        paths = router.paths(*ends[fi], room, floor) if ci < copies[fi] else iter(())
+        stack.append([fi, ci, accepted, paths, None])  # last: the routed path
 
     with contextlib.suppress(_Stop):
         enter(0, 0, (), 0)
         while stack:
             frame = stack[-1]
-            fi, ci, accepted, paths, delta = frame
-            if delta is not None:  # back from the child branch
+            fi, ci, accepted, paths, routed = frame
+            if routed is not None:  # back from the child branch
                 plan.pop()
-                for v, n in delta.items():
-                    load[v] -= n
+                router.charge(room, routed[:-1], 1)
                 frame[4] = None
                 if accepted + supply_bound(fi, ci) <= best_count:
                     paths = frame[3] = iter(())
-            found = next(paths, None)
-            if found is not None:
-                path, frame[4] = found
-                for v, n in found[1].items():
-                    load[v] += n
-                plan.append(RouteAssignment(inst.flows[fi], ci, path))
+            path = next(paths, None)
+            if path is not None:
+                frame[4] = path
+                router.charge(room, path[:-1], -1)
+                plan.append((fi, ci, path))
                 enter(fi, ci + 1, path, accepted + 1)
                 continue
             stack.pop()
@@ -302,24 +346,23 @@ def solve_greedy(inst: NcInstance) -> SolveResult:
     """Admit copies in demand order, each over the feasible path with the
     fewest hops (node ids break ties); a demand stops at its first
     rejection.  Never certified optimal."""
-    net = inst.network
-    router = _Router(net, dict(net.capacity))
-    load = dict.fromkeys(net.nodes, 0)
+    router = _Router(inst.network)
+    room = list(router.capacity)
     plan: list[RouteAssignment] = []
     for flow, copies in zip(inst.flows, _effective_copies(inst)):
+        s, t = router.index[flow.src], router.index[flow.dst]
         for ci in range(copies):
             # Deepening on hop count: the first path at the smallest depth
             # is the shortest one, lexicographically first among its peers.
             tries = (
-                next(router.paths(flow.src, flow.dst, load, max_hops=hops), None)
-                for hops in range(1, len(net.nodes))
+                next(router.paths(s, t, room, max_hops=hops), None)
+                for hops in range(1, len(router.ids))
             )
-            found = next(filter(None, tries), None)
-            if found is None:
+            path = next(filter(None, tries), None)
+            if path is None:
                 break
-            for v, n in found[1].items():
-                load[v] += n
-            plan.append(RouteAssignment(flow, ci, found[0]))
+            router.charge(room, path[:-1], -1)
+            plan.append(RouteAssignment(flow, ci, router.path_ids(path)))
     return SolveResult(len(plan), RoutePlan(tuple(plan)), optimal=False)
 
 

@@ -196,6 +196,14 @@ class TestSolve:
         exact = json.loads(capsys.readouterr().out)
         assert greedy["accepted"] == 1 and exact["accepted"] == 3
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_below_one_exit_2(self, compiled, capsys, budget):
+        # Such a budget ran out before the root and reported 0 accepted.
+        code = main(["solve", "--instance", str(compiled), f"--budget={budget}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: node budget must be at least 1, got {budget}\n"
+
 
 def _worked_dict() -> dict:
     return instance_to_dict(compile_formula(Formula.from_clauses(6, WORKED_CLAUSES)))

@@ -21,8 +21,9 @@ from satnc import (
     solve_exact,
     solve_greedy,
 )
+from satnc.solver import _Router
 from conftest import FIXTURES, make_network, path_graph, random_connected_network
-from oracles import naive_best_accept, naive_simple_paths
+from oracles import naive_best_accept, naive_plan_feasible, naive_simple_paths
 
 
 def demand_instance(net, demands):
@@ -191,11 +192,65 @@ class TestSolveExact:
         result = solve_exact(inst)
         assert result.accepted_count == 0 and result.optimal
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, budget):
+        inst = demand_instance(path_graph("AB"), [("A", "B", 1)])
+        with pytest.raises(ValueError, match="at least 1"):
+            solve_exact(inst, budget=budget)
+
     def test_plan_always_feasible(self):
         inst = load_instance(FIXTURES / "greedy_gap.json")
         result = solve_exact(inst)
         assert check_feasible(inst.network, result.plan).ok
         assert result.accepted_count == len(result.plan.assignments)
+
+
+class TestRouterRoom:
+    """The path search borrows the caller's ``room`` list and hands it back
+    unchanged at every yield and at the end."""
+
+    def test_restored_at_yield_exhaustion_and_close(self):
+        rng = random.Random(8)
+        suspended = 0
+        for _ in range(20):
+            net = random_connected_network(rng, rng.randint(3, 8), cap_range=(2, 8))
+            router = _Router(net)
+            room = list(router.capacity)
+            s, t = rng.sample(range(len(net.nodes)), 2)
+            every = list(router.paths(s, t, room))
+            assert room == list(router.capacity)
+            for floor in [(), *every]:
+                suffix = every[every.index(floor) :] if floor else every
+                gen = router.paths(s, t, room, floor)
+                for _ in suffix:
+                    next(gen)  # suspended at a yield
+                    suspended += 1
+                    assert room == list(router.capacity)
+                    if rng.random() < 0.3:
+                        break
+                gen.close()
+                assert room == list(router.capacity)
+        assert suspended > 100
+
+    def test_solve_exact_hands_back_full_room(self, monkeypatch, worked_instance):
+        seen = []
+        search = _Router.paths
+
+        def spy(router, s, t, room, *args, **kwargs):
+            seen.append((router, s, t, room))
+            return search(router, s, t, room, *args, **kwargs)
+
+        monkeypatch.setattr(_Router, "paths", spy)
+        main = len(worked_instance.flows) - 1
+        gap = load_instance(FIXTURES / "greedy_gap.json")
+        for inst, required in ((worked_instance, {main}), (gap, set())):
+            seen.clear()
+            assert solve_exact(inst, required=required).optimal
+            router, s, t, room = seen[-1]
+            assert all(r is room for *_, r in seen)
+            assert room == list(router.capacity)
+            full = list(router.capacity)
+            assert list(search(router, s, t, room)) == list(search(router, s, t, full))
 
 
 class TestSolveGreedy:
@@ -278,6 +333,30 @@ def test_enum_paths_equals_naive_enumerator(seed):
     naive = naive_simple_paths(net.nodes, net.edges(), s, t)
     assert sorted(ours) == sorted(naive)
     assert ours == sorted(ours)  # deterministic lexicographic emission order
+
+
+@given(st.integers(0, 100_000))
+@settings(max_examples=30, deadline=None)
+def test_floor_resumes_the_naive_path_list(seed):
+    # Node ids n0..n10 sort as strings (n10 before n2), so index order is
+    # id order only if the router numbers nodes by sorted id.
+    rng = random.Random(seed)
+    net = random_connected_network(rng, rng.randint(3, 11), cap_range=(2, 9))
+    s, t = rng.sample(net.nodes, 2)
+    every = sorted(naive_simple_paths(net.nodes, net.edges(), s, t))
+    fitting = [
+        p
+        for p in every
+        if naive_plan_feasible(net.nodes, net.edges(), dict(net.capacity), [p])
+    ]
+    router = _Router(net)
+    room = list(router.capacity)
+    for floor in every:
+        found = router.paths(
+            router.index[s], router.index[t], room, tuple(router.index[v] for v in floor)
+        )
+        assert [router.path_ids(p) for p in found] == [p for p in fitting if p >= floor]
+    assert room == list(router.capacity)
 
 
 @given(st.integers(0, 100_000))
