@@ -161,16 +161,21 @@ def _unpack(f: Formula, packed: int) -> Assignment:
     }
 
 
-def brute_sat(f: Formula, bound: int = EXHAUSTIVE_BOUND) -> Assignment | None:
+def _require_exhaustive(f: Formula) -> None:
+    # Both oracles scan all 2**n assignments: ground truth at desk scale only.
+    if f.var_count > EXHAUSTIVE_BOUND:
+        raise ValueError(
+            f"{f.var_count} variables exceed the exhaustive bound of "
+            f"{EXHAUSTIVE_BOUND}"
+        )
+
+
+def brute_sat(f: Formula) -> Assignment | None:
     """First satisfying assignment in lexicographic order, or None.
 
-    Refuses formulas with more than ``bound`` variables: the scan is a
-    full 2**n sweep and is meant as ground truth at desk scale only.
+    Refuses formulas with more than ``EXHAUSTIVE_BOUND`` variables.
     """
-    if f.var_count > bound:
-        raise ValueError(
-            f"{f.var_count} variables exceed the exhaustive bound of {bound}"
-        )
+    _require_exhaustive(f)
     masks = _masks(f)
     full = (1 << f.var_count) - 1
     for packed in range(1 << f.var_count):
@@ -179,14 +184,9 @@ def brute_sat(f: Formula, bound: int = EXHAUSTIVE_BOUND) -> Assignment | None:
     return None
 
 
-def max_sat_brute(
-    f: Formula, bound: int = EXHAUSTIVE_BOUND
-) -> tuple[int, Assignment]:
+def max_sat_brute(f: Formula) -> tuple[int, Assignment]:
     """Maximum satisfiable clause count with a lexicographically-first witness."""
-    if f.var_count > bound:
-        raise ValueError(
-            f"{f.var_count} variables exceed the exhaustive bound of {bound}"
-        )
+    _require_exhaustive(f)
     masks = _masks(f)
     full = (1 << f.var_count) - 1
     best_count, best_packed = -1, 0

@@ -83,7 +83,6 @@ class NodeInfo:
     id: str
     paper_index: str | None
     subset: str  # "V1".."V5" or "aux"
-    capacity: int
 
 
 @dataclass(frozen=True)
@@ -111,44 +110,39 @@ class AssignmentContradiction(ValueError):
         self.var = var
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class NcInstance:
     """A capacity network plus its ordered flow demands.
 
     Compiled instances keep the source formula and a canonical-id table
-    that maps every node back to its raw construction index.
+    that maps every node back to its raw construction index; the conflict
+    pairs are derived from the formula, and capacities live in the network.
     """
 
     network: Network
     flows: tuple[FlowRequest, ...]
     node_table: tuple[NodeInfo, ...]
     formula: Formula | None = None
-    conflicts: tuple[ConflictPair, ...] = ()
 
     def __post_init__(self) -> None:
         ids = tuple(info.id for info in self.node_table)
         if ids != self.network.nodes:
             raise ValueError("node table does not match the network's node set")
-        caps = self.network.capacity
-        for info in self.node_table:
-            if info.capacity != caps[info.id]:
-                raise ValueError(f"capacity mismatch for node {info.id!r}")
+        seen: set[FlowRequest] = set()
         for flow in self.flows:
             if not self.network.has_node(flow.src) or not self.network.has_node(
                 flow.dst
             ):
                 raise ValueError(f"flow {flow.label!r} references unknown nodes")
+            if flow in seen:  # a plan tells copies apart by flow value
+                raise ValueError(
+                    f"flow {flow.label!r} ({flow.src} -> {flow.dst}) is listed twice"
+                )
+            seen.add(flow)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NcInstance):
-            return NotImplemented
-        return (
-            self.network == other.network
-            and self.flows == other.flows
-            and self.node_table == other.node_table
-            and self.formula == other.formula
-            and self.conflicts == other.conflicts
-        )
+    @cached_property
+    def conflicts(self) -> tuple[ConflictPair, ...]:
+        return () if self.formula is None else conflict_pairs(self.formula)
 
     @cached_property
     def info(self) -> Mapping[str, NodeInfo]:
@@ -189,16 +183,12 @@ class NcInstance:
 
     @property
     def clause_count(self) -> int:
-        if self.formula is None:
-            raise ValueError("instance was not compiled from a formula")
-        return len(self.formula.clauses)
+        return len(_require_compiled(self).clauses)
 
 
 def plain_instance(network: Network, flows: Iterable[FlowRequest]) -> NcInstance:
     """Wrap a hand-built network as an instance with no gadget metadata."""
-    table = tuple(
-        NodeInfo(v, None, "aux", network.capacity_of(v)) for v in network.nodes
-    )
+    table = tuple(NodeInfo(v, None, "aux") for v in network.nodes)
     return NcInstance(network, tuple(flows), table)
 
 
@@ -232,55 +222,48 @@ def compile_formula(
         raise ValueError("cannot compile an empty formula")
     m = len(formula.clauses)
     table: list[NodeInfo] = []
+    cap: dict[str, int] = {}
     edges: list[tuple[str, str]] = []
+
+    def add(v: str, paper_index: str | None, subset: str, capacity: int) -> None:
+        table.append(NodeInfo(v, paper_index, subset))
+        cap[v] = capacity
+
     for i, clause in enumerate(formula.clauses, 1):
         width = len(clause)
-        table.append(NodeInfo(entry_id(i), f"n_1^{i}", "V1", caps.entry_exit))
-        table.append(NodeInfo(exit_id(i), f"n_4^{i}", "V1", caps.entry_exit))
+        add(entry_id(i), f"n_1^{i}", "V1", caps.entry_exit)
+        add(exit_id(i), f"n_4^{i}", "V1", caps.entry_exit)
         for j in range(1, width + 1):
-            table.append(
-                NodeInfo(prelit_id(i, j), f"n_{3 * j + 2}^{i}", "V3", caps.entry_exit)
-            )
-            table.append(
-                NodeInfo(lit_id(i, j), f"n_{3 * j + 3}^{i}", "V2", caps.literal)
-            )
-            table.append(
-                NodeInfo(postlit_id(i, j), f"n_{3 * j + 4}^{i}", "V3", caps.entry_exit)
-            )
+            add(prelit_id(i, j), f"n_{3 * j + 2}^{i}", "V3", caps.entry_exit)
+            add(lit_id(i, j), f"n_{3 * j + 3}^{i}", "V2", caps.literal)
+            add(postlit_id(i, j), f"n_{3 * j + 4}^{i}", "V3", caps.entry_exit)
             edges.append((entry_id(i), prelit_id(i, j)))
             edges.append((prelit_id(i, j), lit_id(i, j)))
             edges.append((lit_id(i, j), postlit_id(i, j)))
             edges.append((postlit_id(i, j), exit_id(i)))
-        table.append(
-            NodeInfo(bypass_id(i), f"n_{3 * width + 5}^{i}", "V4", caps.bypass)
-        )
+        add(bypass_id(i), f"n_{3 * width + 5}^{i}", "V4", caps.bypass)
         edges.append((entry_id(i), bypass_id(i)))
         edges.append((bypass_id(i), exit_id(i)))
         for j, j2 in itertools.combinations(range(1, width + 1), 2):
             edges.append((lit_id(i, j), lit_id(i, j2)))
         if i < m:
             edges.append((exit_id(i), entry_id(i + 1)))
-    pairs = conflict_pairs(formula)
-    for pair in pairs:
-        table.append(
-            NodeInfo(conflict_id(pair.index), f"n_{pair.index}", "V5", caps.conflict)
-        )
+    for pair in conflict_pairs(formula):
+        add(conflict_id(pair.index), f"n_{pair.index}", "V5", caps.conflict)
         edges.append((conflict_id(pair.index), lit_id(*pair.pos)))
         edges.append((conflict_id(pair.index), lit_id(*pair.neg)))
     for i in range(1, m + 1):
-        table.append(NodeInfo(preload_src_id(i), f"A_{i}", "aux", caps.preload_src))
+        add(preload_src_id(i), f"A_{i}", "aux", caps.preload_src)
         edges.append((preload_src_id(i), bypass_id(i)))
-    table.append(NodeInfo(TERMINAL, None, "aux", caps.terminal))
+    add(TERMINAL, None, "aux", caps.terminal)
     edges.append((exit_id(m), TERMINAL))
 
-    network = Network(
-        (n.id for n in table), edges, {n.id: n.capacity for n in table}
-    )
+    network = Network((n.id for n in table), edges, cap)
     flows = tuple(
         FlowRequest(preload_src_id(i), bypass_id(i), 1, f"preload-{i}")
         for i in range(1, m + 1)
     ) + (FlowRequest(entry_id(1), TERMINAL, None, "main"),)
-    return NcInstance(network, flows, tuple(table), formula, pairs)
+    return NcInstance(network, flows, tuple(table), formula)
 
 
 def _require_compiled(inst: NcInstance) -> Formula:

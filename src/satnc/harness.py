@@ -13,7 +13,7 @@ lets the main flow cross clause i over its bypass.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .cnf import brute_sat, max_sat_brute, random_formula
 from .gadget import (
@@ -25,7 +25,7 @@ from .gadget import (
 )
 from .instance_io import instance_to_dict
 from .model import check_feasible
-from .solver import DEFAULT_NODE_BUDGET, solve_exact
+from .solver import solve_exact
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,8 @@ class TrialRecord:
     k: int
     satisfiable: bool
     nc_accepted: int
-    expected_accepted: int
     solver_optimal: bool
     audit_ok: bool
-    agree: bool
     max_sat: int
     # The admission optimum with main required, less main; -1 when no plan
     # admits main at all.
@@ -48,11 +46,24 @@ class TrialRecord:
     max_match: bool
     witness: dict | None = None
 
+    @property
+    def expected_accepted(self) -> int:
+        return self.clause_count + 1 if self.satisfiable else self.clause_count
+
+    @property
+    def agree(self) -> bool:
+        # An uncertified optimum cannot witness agreement; it counts as a
+        # failure and the record says why via solver_optimal.
+        return self.solver_optimal and self.nc_accepted == self.expected_accepted
+
 
 @dataclass(frozen=True)
 class VerificationReport:
-    trials: int
     records: tuple[TrialRecord, ...]
+
+    @property
+    def trials(self) -> int:
+        return len(self.records)
 
     @property
     def agreed(self) -> int:
@@ -82,7 +93,6 @@ def run_verification(
     trials: int,
     seed: int,
     caps: CapacityPreset = CapacityPreset(),
-    solver_budget: int = DEFAULT_NODE_BUDGET,
 ) -> VerificationReport:
     """Run seeded trials; deterministic byte-for-byte for a fixed seed."""
     if trials < 0:
@@ -96,8 +106,7 @@ def run_verification(
         formula = random_formula(var_count, clause_count, k, trial_seed)
         inst = compile_formula(formula, caps)
         report = audit(inst)
-        witness_assignment = brute_sat(formula)
-        satisfiable = witness_assignment is not None
+        satisfiable = brute_sat(formula) is not None
         max_sat, best = max_sat_brute(formula)
         # The best assignment's plan accepts 1 + max_sat copies; as the first
         # incumbent it leaves the solver only the proof that none does better.
@@ -105,54 +114,46 @@ def run_verification(
         if not check_feasible(inst.network, start).ok:
             start = None
         main = len(inst.flows) - 1
-        with_main = solve_exact(
-            inst, budget=solver_budget, required=(main,), start=start
-        )
+        with_main = solve_exact(inst, required=(main,), start=start)
         max_traversable = with_main.accepted_count - 1
         if check_feasible(inst.network, preload_plan(inst)).ok:
             # Without main a plan holds at most the m preload copies.
             nc_accepted = max(with_main.accepted_count, clause_count)
             optimal = with_main.optimal
         else:  # capacity overrides that overload a preload hop
-            result = solve_exact(inst, budget=solver_budget)
+            result = solve_exact(inst)
             nc_accepted = result.accepted_count
             optimal = with_main.optimal and result.optimal
-        expected = clause_count + 1 if satisfiable else clause_count
-        # An uncertified optimum cannot witness agreement or a match; it
-        # counts as a failure and the record says why via solver_optimal.
-        agree = optimal and nc_accepted == expected
-        max_match = with_main.optimal and max_traversable == max_sat
-        witness = None
-        if not (agree and max_match and report.ok):
-            witness = {
-                "trial": index,
-                "seed": trial_seed,
-                "satisfiable": satisfiable,
-                "nc_accepted": nc_accepted,
-                "expected_accepted": expected,
-                "solver_optimal": optimal,
-                "max_sat": max_sat,
-                "max_traversable": max_traversable,
-                "audit_failures": list(report.failures),
-                "instance": instance_to_dict(inst),
-            }
-        records.append(
-            TrialRecord(
-                index=index,
-                seed=trial_seed,
-                var_count=var_count,
-                clause_count=clause_count,
-                k=k,
-                satisfiable=satisfiable,
-                nc_accepted=nc_accepted,
-                expected_accepted=expected,
-                solver_optimal=optimal,
-                audit_ok=report.ok,
-                agree=agree,
-                max_sat=max_sat,
-                max_traversable=max_traversable,
-                max_match=max_match,
-                witness=witness,
-            )
+        record = TrialRecord(
+            index=index,
+            seed=trial_seed,
+            var_count=var_count,
+            clause_count=clause_count,
+            k=k,
+            satisfiable=satisfiable,
+            nc_accepted=nc_accepted,
+            solver_optimal=optimal,
+            audit_ok=report.ok,
+            max_sat=max_sat,
+            max_traversable=max_traversable,
+            # An uncertified optimum cannot witness a match either.
+            max_match=with_main.optimal and max_traversable == max_sat,
         )
-    return VerificationReport(trials, tuple(records))
+        if not (record.agree and record.max_match and record.audit_ok):
+            record = replace(
+                record,
+                witness={
+                    "trial": index,
+                    "seed": trial_seed,
+                    "satisfiable": satisfiable,
+                    "nc_accepted": nc_accepted,
+                    "expected_accepted": record.expected_accepted,
+                    "solver_optimal": optimal,
+                    "max_sat": max_sat,
+                    "max_traversable": max_traversable,
+                    "audit_failures": list(report.failures),
+                    "instance": instance_to_dict(inst),
+                },
+            )
+        records.append(record)
+    return VerificationReport(tuple(records))

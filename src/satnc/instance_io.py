@@ -7,7 +7,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path as FsPath
 
 from .cnf import emit_dimacs, parse_dimacs
-from .gadget import ConflictPair, NcInstance, NodeInfo, conflict_pairs
+from .gadget import NcInstance, NodeInfo
 from .model import FlowRequest, Network
 
 SCHEMA_VERSION = 1
@@ -23,6 +23,7 @@ _SUBSET_SHAPES = {
 
 
 def instance_to_dict(inst: NcInstance) -> dict:
+    cap = inst.network.capacity
     return {
         "schema_version": SCHEMA_VERSION,
         "nodes": [
@@ -30,7 +31,7 @@ def instance_to_dict(inst: NcInstance) -> dict:
                 "id": n.id,
                 "paper_index": n.paper_index,
                 "subset": n.subset,
-                "capacity": n.capacity,
+                "capacity": cap[n.id],
             }
             for n in inst.node_table
         ],
@@ -79,6 +80,7 @@ def instance_from_dict(data: dict) -> NcInstance:
             f"unsupported schema_version {data.get('schema_version')!r}"
         )
     table: list[NodeInfo] = []
+    cap: dict[str, int] = {}
     for n in _list(data, "nodes"):
         if not (
             isinstance(n, dict)
@@ -88,7 +90,8 @@ def instance_from_dict(data: dict) -> NcInstance:
             and isinstance(n.get("capacity"), int)
         ):
             raise _malformed(_NODES_SHAPE)
-        table.append(NodeInfo(n["id"], n["paper_index"], n["subset"], n["capacity"]))
+        table.append(NodeInfo(n["id"], n["paper_index"], n["subset"]))
+        cap[n["id"]] = n["capacity"]
     flows = _list(data, "flows")
     copies_ok = True
     for f in flows:
@@ -116,9 +119,7 @@ def instance_from_dict(data: dict) -> NcInstance:
             raise _malformed(_EDGES_SHAPE)
     formula_text = data.get("formula")
     _require(isinstance(formula_text, (str, type(None))), "'formula' must be a string")
-    network = Network(
-        (n.id for n in table), edges, {n.id: n.capacity for n in table}
-    )
+    network = Network((n.id for n in table), edges, cap)
     requests = tuple(
         FlowRequest(
             f["src"],
@@ -129,10 +130,7 @@ def instance_from_dict(data: dict) -> NcInstance:
         for f in flows
     )
     formula = parse_dimacs(formula_text) if formula_text else None
-    conflicts: tuple[ConflictPair, ...] = ()
-    if formula is not None:
-        conflicts = conflict_pairs(formula)
-    return NcInstance(network, requests, tuple(table), formula, conflicts)
+    return NcInstance(network, requests, tuple(table), formula)
 
 
 def _json_array(items: list[str]) -> str:
@@ -149,11 +147,12 @@ def dumps_instance(inst: NcInstance) -> str:
     """``json.dumps(instance_to_dict(inst), indent=2)`` plus a newline, byte
     for byte, written here: json lays out ``indent`` in pure Python."""
     q = encode_basestring_ascii
+    cap = inst.network.capacity
     nodes = [
         f'{{\n      "id": {q(n.id)},\n'
         f'      "paper_index": {_json_string(n.paper_index)},\n'
         f'      "subset": {q(n.subset)},\n'
-        f'      "capacity": {n.capacity}\n    }}'
+        f'      "capacity": {cap[n.id]}\n    }}'
         for n in inst.node_table
     ]
     edges = [f"[\n      {q(u)},\n      {q(v)}\n    ]" for u, v in inst.network.edges()]
@@ -189,10 +188,11 @@ def to_dot(inst: NcInstance) -> str:
     """Undirected DOT drawing: one node line per node (shape by subset,
     capacity in the label), one edge line per undirected edge."""
     lines = ["graph nc {"]
+    cap = inst.network.capacity
     for n in inst.node_table:
         label = n.id if n.paper_index is None else f"{n.id} {n.paper_index}"
         shape = _SUBSET_SHAPES.get(n.subset, "plaintext")
-        lines.append(f'  "{n.id}" [shape={shape}, label="{label} [{n.capacity}]"];')
+        lines.append(f'  "{n.id}" [shape={shape}, label="{label} [{cap[n.id]}]"];')
     for u, v in inst.network.edges():
         lines.append(f'  "{u}" -- "{v}";')
     lines.append("}")

@@ -180,9 +180,12 @@ class PathDefect:
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
-    ok: bool
     overloads: tuple[Overload, ...] = ()
     defects: tuple[PathDefect, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.overloads and not self.defects
 
 
 class PathError(ValueError):
@@ -294,8 +297,4 @@ def check_feasible(net: Network, plan: RoutePlan) -> FeasibilityVerdict:
             continue
         hops.extend(zip(p, p[1:]))
     overloads = overloaded_nodes(net, hops_load(net, hops))
-    return FeasibilityVerdict(
-        ok=not overloads and not defects,
-        overloads=overloads,
-        defects=tuple(defects),
-    )
+    return FeasibilityVerdict(overloads, tuple(defects))

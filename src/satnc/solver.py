@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,15 +16,14 @@ DEFAULT_NODE_BUDGET = 10_000_000
 
 @dataclass(frozen=True)
 class SolveResult:
-    accepted_count: int
     plan: RoutePlan
     optimal: bool
     nodes_explored: int = 0
     budget_hit: bool = False
 
-
-class _Stop(Exception):
-    pass
+    @property
+    def accepted_count(self) -> int:
+        return len(self.plan)
 
 
 class _Router:
@@ -279,7 +277,7 @@ def solve_exact(
         nonlocal best_count, best_plan, explored
         explored += 1
         if explored > budget:
-            raise _Stop
+            return  # the search loop stops on its next test
         if fi == len(inst.flows):
             if accepted > best_count:
                 best_count = accepted
@@ -293,29 +291,27 @@ def solve_exact(
         paths = router.paths(*ends[fi], room, floor) if ci < copies[fi] else iter(())
         stack.append([fi, ci, accepted, paths, None])  # last: the routed path
 
-    with contextlib.suppress(_Stop):
-        enter(0, 0, (), 0)
-        while stack:
-            frame = stack[-1]
-            fi, ci, accepted, paths, routed = frame
-            if routed is not None:  # back from the child branch
-                plan.pop()
-                router.charge(room, routed[:-1], 1)
-                frame[4] = None
-                if accepted + supply_bound(fi, ci) <= best_count:
-                    paths = frame[3] = iter(())
-            path = next(paths, None)
-            if path is not None:
-                frame[4] = path
-                router.charge(room, path[:-1], -1)
-                plan.append((fi, ci, path))
-                enter(fi, ci + 1, path, accepted + 1)
-                continue
-            stack.pop()
-            if ci > 0 or fi not in required:
-                enter(fi + 1, 0, (), accepted)
+    enter(0, 0, (), 0)
+    while stack and explored <= budget:
+        frame = stack[-1]
+        fi, ci, accepted, paths, routed = frame
+        if routed is not None:  # back from the child branch
+            plan.pop()
+            router.charge(room, routed[:-1], 1)
+            frame[4] = None
+            if accepted + supply_bound(fi, ci) <= best_count:
+                paths = frame[3] = iter(())
+        path = next(paths, None)
+        if path is not None:
+            frame[4] = path
+            router.charge(room, path[:-1], -1)
+            plan.append((fi, ci, path))
+            enter(fi, ci + 1, path, accepted + 1)
+            continue
+        stack.pop()
+        if ci > 0 or fi not in required:
+            enter(fi + 1, 0, (), accepted)
     return SolveResult(
-        accepted_count=max(best_count, 0),
         plan=RoutePlan(best_plan),
         optimal=explored <= budget,
         nodes_explored=explored,
@@ -363,7 +359,7 @@ def solve_greedy(inst: NcInstance) -> SolveResult:
                 break
             router.charge(room, path[:-1], -1)
             plan.append(RouteAssignment(flow, ci, router.path_ids(path)))
-    return SolveResult(len(plan), RoutePlan(tuple(plan)), optimal=False)
+    return SolveResult(RoutePlan(tuple(plan)), optimal=False)
 
 
 def inapprox_bound(k: int) -> Fraction:

@@ -20,11 +20,14 @@ except ModuleNotFoundError:  # Python 3.10; pytest depends on tomli there
 import satnc
 import satnc.harness
 from satnc import (
+    FlowRequest,
     Formula,
+    Network,
     compile_formula,
     instance_to_dict,
     load_instance,
     max_sat_brute,
+    plain_instance,
     save_instance,
 )
 from satnc.cli import main
@@ -203,6 +206,25 @@ class TestSolve:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: node budget must be at least 1, got {budget}\n"
+
+    def test_duplicate_demand_exit_2(self, tmp_path, capsys):
+        # A plan tells copies apart by flow value, so two equal demands were
+        # loaded and then broke both solvers after their search.
+        net = Network("AB", [("A", "B")], {"A": 3, "B": 3})
+        flow = FlowRequest("A", "B", 1, "x")
+        message = "flow 'x' (A -> B) is listed twice"
+        with pytest.raises(ValueError) as raised:
+            plain_instance(net, [flow, flow])
+        assert str(raised.value) == message
+        data = instance_to_dict(plain_instance(net, [flow]))
+        data["flows"] *= 2
+        inst = tmp_path / "twice.json"
+        inst.write_text(json.dumps(data))
+        for mode in ("exact", "greedy"):
+            code = main(["solve", "--instance", str(inst), "--mode", mode])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err == f"error: {message}\n"
 
 
 def _worked_dict() -> dict:

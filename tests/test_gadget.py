@@ -12,6 +12,7 @@ from satnc import (
     CapacityPreset,
     ClauseUnsatisfied,
     Formula,
+    NcInstance,
     RouteAssignment,
     RoutePlan,
     all_assignments,
@@ -183,6 +184,16 @@ class TestAudit:
     def test_squeezed_literal_capacity_overloads_intended_path(self, worked_formula):
         report = audit(compile_formula(worked_formula, CapacityPreset(literal=3)))
         assert any("intended segment overloads" in f for f in report.failures)
+
+    def test_rebuilt_instance_audits_as_the_original(self, worked_formula):
+        # The conflict pairs come from the formula: an instance rebuilt from
+        # its parts cannot lose them and pass an audit the original fails.
+        inst = compile_formula(worked_formula, CapacityPreset(conflict=2))
+        rebuilt = NcInstance(inst.network, inst.flows, inst.node_table, inst.formula)
+        assert rebuilt == inst
+        failures = audit(rebuilt).failures
+        assert failures == audit(inst).failures
+        assert any("conflict not blocked" in f for f in failures)
 
 
 def test_audit_matches_reference_audit():
