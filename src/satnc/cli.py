@@ -12,7 +12,7 @@ import re
 import sys
 from pathlib import Path as FsPath
 
-from .cnf import EXHAUSTIVE_BOUND, lint_formula, parse_dimacs
+from .cnf import EXHAUSTIVE_BOUND, lint_formula, parse_dimacs, true_positions
 from .gadget import (
     CapacityPreset,
     ClauseUnsatisfied,
@@ -20,7 +20,6 @@ from .gadget import (
     assignment_plan,
     classify_path,
     compile_formula,
-    true_positions,
 )
 from .harness import run_verification
 from .instance_io import load_instance, save_instance, to_dot

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 Assignment = dict[int, bool]
 
@@ -130,6 +131,41 @@ def _require_total(f: Formula, a: Assignment) -> None:
 
 def clause_satisfied(clause: tuple[int, ...], a: Assignment) -> bool:
     return any(a[abs(lit)] == (lit > 0) for lit in clause)
+
+
+def true_positions(clause: tuple[int, ...], a: Assignment) -> tuple[int, ...]:
+    """1-based positions of the literals made true by ``a``."""
+    return tuple(j for j, lit in enumerate(clause, 1) if a[abs(lit)] == (lit > 0))
+
+
+def realizable_true_sets(clause: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every non-empty true-position set some assignment induces on a clause."""
+    variables = sorted({abs(lit) for lit in clause})
+    seen: set[tuple[int, ...]] = set()
+    for bits in itertools.product((False, True), repeat=len(variables)):
+        a = dict(zip(variables, bits))
+        trues = true_positions(clause, a)
+        if trues:
+            seen.add(trues)
+    return sorted(seen)
+
+
+def clause_true_sets(clause: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """``realizable_true_sets(clause)``, memoized under the clause's pattern:
+    its variables renamed 1, 2, ... by first appearance, each signed so that
+    its first occurrence is positive.  Renaming or flipping a variable maps
+    assignments one to one, so clauses of one pattern share their sets."""
+    names: dict[int, int] = {}  # variable -> new name, signed as first seen
+    for lit in clause:
+        names.setdefault(abs(lit), len(names) + 1 if lit > 0 else -len(names) - 1)
+    return _pattern_true_sets(
+        tuple(names[lit] if lit > 0 else -names[-lit] for lit in clause)
+    )
+
+
+@lru_cache(maxsize=1024)
+def _pattern_true_sets(pattern: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    return tuple(realizable_true_sets(pattern))
 
 
 def eval_formula(f: Formula, a: Assignment) -> int:

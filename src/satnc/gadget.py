@@ -14,9 +14,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
-from .cnf import Assignment, Formula, _require_total
+from .cnf import Assignment, Formula, _require_total, clause_true_sets, true_positions
 from .model import (
     FlowRequest,
     Hop,
@@ -78,15 +78,13 @@ class CapacityPreset:
     terminal: int = 2
 
 
-@dataclass(frozen=True)
-class NodeInfo:
+class NodeInfo(NamedTuple):
     id: str
     paper_index: str | None
     subset: str  # "V1".."V5" or "aux"
 
 
-@dataclass(frozen=True)
-class ConflictPair:
+class ConflictPair(NamedTuple):
     """A (positive, negated) occurrence pair of one variable, across clauses."""
 
     index: int  # 1-based
@@ -116,7 +114,8 @@ class NcInstance:
 
     Compiled instances keep the source formula and a canonical-id table
     that maps every node back to its raw construction index; the conflict
-    pairs are derived from the formula, and capacities live in the network.
+    pairs are derived from the formula, capacities live in the network, and
+    the flows must be the formula's preloads A_i -> B_i, then main E1 -> T.
     """
 
     network: Network
@@ -125,8 +124,7 @@ class NcInstance:
     formula: Formula | None = None
 
     def __post_init__(self) -> None:
-        ids = tuple(info.id for info in self.node_table)
-        if ids != self.network.nodes:
+        if [info.id for info in self.node_table] != list(self.network.nodes):
             raise ValueError("node table does not match the network's node set")
         seen: set[FlowRequest] = set()
         for flow in self.flows:
@@ -139,6 +137,15 @@ class NcInstance:
                     f"flow {flow.label!r} ({flow.src} -> {flow.dst}) is listed twice"
                 )
             seen.add(flow)
+        if self.formula is not None:
+            m = len(self.formula.clauses)
+            ends = [(preload_src_id(i), bypass_id(i)) for i in range(1, m + 1)]
+            ends.append((entry_id(1), TERMINAL))
+            if [(flow.src, flow.dst) for flow in self.flows] != ends:
+                raise ValueError(
+                    f"a compiled instance's flows must be the {m} preloads "
+                    "A_i -> B_i, then main E1 -> T"
+                )
 
     @cached_property
     def conflicts(self) -> tuple[ConflictPair, ...]:
@@ -221,47 +228,55 @@ def compile_formula(
     if not formula.clauses:
         raise ValueError("cannot compile an empty formula")
     m = len(formula.clauses)
+    chain, literal = caps.entry_exit, caps.literal
     table: list[NodeInfo] = []
     cap: dict[str, int] = {}
     edges: list[tuple[str, str]] = []
-
-    def add(v: str, paper_index: str | None, subset: str, capacity: int) -> None:
-        table.append(NodeInfo(v, paper_index, subset))
-        cap[v] = capacity
-
+    lits: list[list[str]] = []  # per clause, its literal nodes by position
+    bypasses: list[str] = []
     for i, clause in enumerate(formula.clauses, 1):
         width = len(clause)
-        add(entry_id(i), f"n_1^{i}", "V1", caps.entry_exit)
-        add(exit_id(i), f"n_4^{i}", "V1", caps.entry_exit)
+        e, x, b = entry_id(i), exit_id(i), bypass_id(i)
+        if i > 1:
+            edges.append((exit_id(i - 1), e))
+        table += (NodeInfo(e, f"n_1^{i}", "V1"), NodeInfo(x, f"n_4^{i}", "V1"))
+        cap[e] = cap[x] = chain
+        row = []
         for j in range(1, width + 1):
-            add(prelit_id(i, j), f"n_{3 * j + 2}^{i}", "V3", caps.entry_exit)
-            add(lit_id(i, j), f"n_{3 * j + 3}^{i}", "V2", caps.literal)
-            add(postlit_id(i, j), f"n_{3 * j + 4}^{i}", "V3", caps.entry_exit)
-            edges.append((entry_id(i), prelit_id(i, j)))
-            edges.append((prelit_id(i, j), lit_id(i, j)))
-            edges.append((lit_id(i, j), postlit_id(i, j)))
-            edges.append((postlit_id(i, j), exit_id(i)))
-        add(bypass_id(i), f"n_{3 * width + 5}^{i}", "V4", caps.bypass)
-        edges.append((entry_id(i), bypass_id(i)))
-        edges.append((bypass_id(i), exit_id(i)))
-        for j, j2 in itertools.combinations(range(1, width + 1), 2):
-            edges.append((lit_id(i, j), lit_id(i, j2)))
-        if i < m:
-            edges.append((exit_id(i), entry_id(i + 1)))
-    for pair in conflict_pairs(formula):
-        add(conflict_id(pair.index), f"n_{pair.index}", "V5", caps.conflict)
-        edges.append((conflict_id(pair.index), lit_id(*pair.pos)))
-        edges.append((conflict_id(pair.index), lit_id(*pair.neg)))
-    for i in range(1, m + 1):
-        add(preload_src_id(i), f"A_{i}", "aux", caps.preload_src)
-        edges.append((preload_src_id(i), bypass_id(i)))
-    add(TERMINAL, None, "aux", caps.terminal)
+            p, lit, q = prelit_id(i, j), lit_id(i, j), postlit_id(i, j)
+            table += (
+                NodeInfo(p, f"n_{3 * j + 2}^{i}", "V3"),
+                NodeInfo(lit, f"n_{3 * j + 3}^{i}", "V2"),
+                NodeInfo(q, f"n_{3 * j + 4}^{i}", "V3"),
+            )
+            cap[p] = cap[q] = chain
+            cap[lit] = literal
+            edges += ((e, p), (p, lit), (lit, q), (q, x))
+            row.append(lit)
+        table.append(NodeInfo(b, f"n_{3 * width + 5}^{i}", "V4"))
+        cap[b] = caps.bypass
+        edges += ((e, b), (b, x))
+        edges += itertools.combinations(row, 2)
+        lits.append(row)
+        bypasses.append(b)
+    for index, (ci, cj), (ni, nj) in conflict_pairs(formula):
+        k = conflict_id(index)
+        table.append(NodeInfo(k, f"n_{index}", "V5"))
+        cap[k] = caps.conflict
+        edges += ((k, lits[ci - 1][cj - 1]), (k, lits[ni - 1][nj - 1]))
+    sources = [preload_src_id(i) for i in range(1, m + 1)]
+    for i, (a, b) in enumerate(zip(sources, bypasses), 1):
+        table.append(NodeInfo(a, f"A_{i}", "aux"))
+        cap[a] = caps.preload_src
+        edges.append((a, b))
+    table.append(NodeInfo(TERMINAL, None, "aux"))
+    cap[TERMINAL] = caps.terminal
     edges.append((exit_id(m), TERMINAL))
 
-    network = Network((n.id for n in table), edges, cap)
+    network = Network([n.id for n in table], edges, cap)
     flows = tuple(
-        FlowRequest(preload_src_id(i), bypass_id(i), 1, f"preload-{i}")
-        for i in range(1, m + 1)
+        FlowRequest(a, b, 1, f"preload-{i}")
+        for i, (a, b) in enumerate(zip(sources, bypasses), 1)
     ) + (FlowRequest(entry_id(1), TERMINAL, None, "main"),)
     return NcInstance(network, flows, tuple(table), formula)
 
@@ -270,11 +285,6 @@ def _require_compiled(inst: NcInstance) -> Formula:
     if inst.formula is None:
         raise ValueError("operation requires an instance compiled from a formula")
     return inst.formula
-
-
-def true_positions(clause: tuple[int, ...], a: Assignment) -> tuple[int, ...]:
-    """1-based positions of the literals made true by ``a``."""
-    return tuple(j for j, lit in enumerate(clause, 1) if a[abs(lit)] == (lit > 0))
 
 
 def clause_segment(i: int, positions: Iterable[int]) -> list[str]:
@@ -388,18 +398,6 @@ def classify_path(inst: NcInstance, p: Path) -> PathClassification:
     return PathClassification("feasible")
 
 
-def realizable_true_sets(clause: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Every non-empty true-position set some assignment induces on a clause."""
-    variables = sorted({abs(lit) for lit in clause})
-    seen: set[tuple[int, ...]] = set()
-    for bits in itertools.product((False, True), repeat=len(variables)):
-        a = dict(zip(variables, bits))
-        trues = true_positions(clause, a)
-        if trues:
-            seen.add(trues)
-    return sorted(seen)
-
-
 @dataclass(frozen=True)
 class ClauseAudit:
     clause: int
@@ -419,28 +417,6 @@ class AuditReport:
         return not self.failures
 
 
-def _clause_context(inst: NcInstance, i: int) -> list[Hop]:
-    # Hops that load clause i's nodes whatever segment the main flow takes:
-    # the preload, the chain hop in, the chain hop out, and the next entry's
-    # first transmission (which reaches this clause's exit node).
-    m = inst.clause_count
-    hops = [(preload_src_id(i), bypass_id(i))]
-    if i > 1:
-        hops.append((exit_id(i - 1), entry_id(i)))
-    if i < m:
-        hops += [(exit_id(i), entry_id(i + 1)), (entry_id(i + 1), prelit_id(i + 1, 1))]
-    else:
-        hops.append((exit_id(m), TERMINAL))
-    return hops
-
-
-def _hits(
-    tx: Mapping[str, tuple[str, ...]], v: str, transmitters: Iterable[str]
-) -> int:
-    """Load on ``v`` from one hop sent by each of the transmitters."""
-    return sum(v in tx[u] for u in transmitters)
-
-
 def audit(inst: NcInstance) -> AuditReport:
     """Check the gadget's blocking arithmetic clause by clause.
 
@@ -448,70 +424,93 @@ def audit(inst: NcInstance) -> AuditReport:
     (2) every assignment-realizable literal segment fits; (3) routing
     through a conflict node overloads it; (4) transmitting from both
     literal nodes of a complementary pair overloads their conflict node.
-    All computed by exact load arithmetic on the relevant hops: a clause's
-    context load once, then each segment's transmitters on the watched
-    nodes only.
+    All computed by exact load arithmetic on the relevant hops, on the
+    watched nodes only: a clause's context load once, then each segment's
+    transmitters from per-position tables of the watched nodes they load.
     """
     formula = _require_compiled(inst)
-    net = inst.network
-    cap = net.capacity
-    tx = net.transmit_sets
+    cap = inst.network.capacity
+    tx = inst.network.transmit_sets
     info = inst.info
     m = len(formula.clauses)
+    lits = [
+        [lit_id(i, j) for j in range(1, len(clause) + 1)]
+        for i, clause in enumerate(formula.clauses, 1)
+    ]
     # Each pair is checked once; its failures are reported under both clauses.
     # Transmitting from both literal nodes, and the route la -> k -> lb
-    # (transmitters la and k), must each overload the conflict node k.
+    # (transmitters la and k), must each overload the conflict node k.  A
+    # literal node's transmission loads k when it is k's neighbour.
     pair_blocks: dict[int, tuple[str, bool, bool]] = {}
-    for pair in inst.conflicts:
-        k = conflict_id(pair.index)
-        la, lb = lit_id(*pair.pos), lit_id(*pair.neg)
-        pair_blocks[pair.index] = (
+    for index, (ci, cj), (ni, nj) in inst.conflicts:
+        k = conflict_id(index)
+        from_a = lits[ci - 1][cj - 1] in tx[k]
+        pair_blocks[index] = (
             k,
-            _hits(tx, k, (la, lb)) > cap[k],
-            _hits(tx, k, (la, k)) > cap[k],
+            from_a + (lits[ni - 1][nj - 1] in tx[k]) > cap[k],
+            from_a + 1 > cap[k],
         )
 
     records: list[ClauseAudit] = []
     failures: list[str] = []
     for i, clause in enumerate(formula.clauses, 1):
         pairs = inst.pairs_by_clause.get(i, ())
-        watch = [entry_id(i), exit_id(i), bypass_id(i), preload_src_id(i)]
-        for j in range(1, len(clause) + 1):
-            watch += [prelit_id(i, j), lit_id(i, j), postlit_id(i, j)]
-        watch += [conflict_id(p.index) for p in pairs]
+        e, x, bypass, a = entry_id(i), exit_id(i), bypass_id(i), preload_src_id(i)
+        chains = [
+            (prelit_id(i, j), lit, postlit_id(i, j))
+            for j, lit in enumerate(lits[i - 1], 1)
+        ]
+        watch = [e, x, bypass, a, *itertools.chain(*chains)]
+        watch += [pair_blocks[p.index][0] for p in pairs]
         if i == m:
             watch.append(TERMINAL)
         slot = {v: n for n, v in enumerate(watch)}
-        context = hops_load(net, _clause_context(inst, i))
-        room = [cap[v] - context.get(v, 0) for v in watch]
-        reach: dict[str, list[int]] = {}  # transmitter -> watched slots it loads
+        # The context: the preload, the chain hop in, the chain hop out, and
+        # the next entry's first transmission (it reaches this clause's exit).
+        context = [a, exit_id(i - 1), x] if i > 1 else [a, x]
+        if i < m:
+            context.append(entry_id(i + 1))
+        # Per transmitter, the watched slots one transmission from it loads.
+        reach = {
+            u: [n for n in map(slot.get, tx[u]) if n is not None]
+            for u in [e, *itertools.chain(*chains), *context]
+        }
+        room = [cap[v] for v in watch]
+        for u in context:
+            for n in reach[u]:
+                room[n] -= 1
 
         least = room[:]  # per watched node, its least margin over the segments
         overloaded: list[int] = []  # in the order the segments overload them
-        for trues in realizable_true_sets(clause):
+        for trues in clause_true_sets(clause):
+            # Transmitters e, the first true position's pre node, the true
+            # literal nodes and the last one's post node.
             margin = room[:]
-            for u in clause_segment(i, trues)[:-1]:
-                slots = reach.get(u)
-                if slots is None:
-                    slots = reach[u] = [slot[w] for w in tx[u] if w in slot]
-                for n in slots:
-                    margin[n] -= 1
-            for n, left in enumerate(margin):
+            hits = reach[e] + reach[chains[trues[0] - 1][0]]
+            for j in trues:
+                hits += reach[chains[j - 1][1]]
+            hits += reach[chains[trues[-1] - 1][2]]
+            for n in hits:  # only a loaded node's margin can fall below room
+                left = margin[n] = margin[n] - 1
                 if left < least[n]:
                     least[n] = left
-                if left < 0 and n not in overloaded:
-                    overloaded.append(n)
+            if min(margin) < 0:
+                overloaded += [
+                    n
+                    for n, left in enumerate(margin)
+                    if left < 0 and n not in overloaded
+                ]
         margins: dict[str, int] = {}
         for v, left in zip(watch, least):
             subset = info[v].subset
-            margins[subset] = min(margins.get(subset, left), left)
+            if subset not in margins or left < margins[subset]:
+                margins[subset] = left
         failures += [
             f"clause {i}: intended segment overloads {watch[n]}" for n in overloaded
         ]
 
-        bypass = bypass_id(i)
-        load = context.get(bypass, 0) + _hits(tx, bypass, (entry_id(i), bypass))
-        bypass_blocked = load > cap[bypass]
+        # The route e -> bypass -> x: transmitters e and the bypass itself.
+        bypass_blocked = (bypass in tx[e]) + 1 > room[slot[bypass]]
         if not bypass_blocked:
             failures.append(f"clause {i}: bypass not blocked")
 

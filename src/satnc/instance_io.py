@@ -28,12 +28,12 @@ def instance_to_dict(inst: NcInstance) -> dict:
         "schema_version": SCHEMA_VERSION,
         "nodes": [
             {
-                "id": n.id,
-                "paper_index": n.paper_index,
-                "subset": n.subset,
-                "capacity": cap[n.id],
+                "id": v,
+                "paper_index": paper_index,
+                "subset": subset,
+                "capacity": cap[v],
             }
-            for n in inst.node_table
+            for v, paper_index, subset in inst.node_table
         ],
         "edges": [list(e) for e in inst.network.edges()],
         "flows": [
@@ -54,7 +54,6 @@ _NODES_SHAPE = (
 )
 _FLOWS_SHAPE = "each of 'flows' must be an object with fields src, dst, copies, label"
 _EDGES_SHAPE = "'edges' must be a list of node-id pairs"
-_MISSING = object()
 
 
 def _malformed(what: str) -> ValueError:
@@ -82,31 +81,41 @@ def instance_from_dict(data: dict) -> NcInstance:
     table: list[NodeInfo] = []
     cap: dict[str, int] = {}
     for n in _list(data, "nodes"):
+        try:
+            v, paper_index, subset = n["id"], n["paper_index"], n["subset"]
+            c = n["capacity"]
+        except (KeyError, TypeError):  # not an object, or a field missing
+            raise _malformed(_NODES_SHAPE) from None
         if not (
             isinstance(n, dict)
-            and isinstance(n.get("id"), str)
-            and isinstance(n.get("paper_index", _MISSING), (str, type(None)))
-            and isinstance(n.get("subset"), str)
-            and isinstance(n.get("capacity"), int)
+            and isinstance(v, str)
+            and (paper_index is None or isinstance(paper_index, str))
+            and isinstance(subset, str)
+            and isinstance(c, int)
         ):
             raise _malformed(_NODES_SHAPE)
-        table.append(NodeInfo(n["id"], n["paper_index"], n["subset"]))
-        cap[n["id"]] = n["capacity"]
+        table.append(NodeInfo(v, paper_index, subset))
+        cap[v] = c
     flows = _list(data, "flows")
-    copies_ok = True
+    fields = []
     for f in flows:
+        try:
+            src, dst, copies, label = f["src"], f["dst"], f["copies"], f["label"]
+        except (KeyError, TypeError):
+            raise _malformed(_FLOWS_SHAPE) from None
         if not (
             isinstance(f, dict)
-            and isinstance(f.get("src"), str)
-            and isinstance(f.get("dst"), str)
-            and isinstance(f.get("copies"), (int, str))
-            and isinstance(f.get("label"), str)
+            and isinstance(src, str)
+            and isinstance(dst, str)
+            and isinstance(copies, (int, str))
+            and isinstance(label, str)
         ):
             raise _malformed(_FLOWS_SHAPE)
-        copies_ok = copies_ok and (
-            isinstance(f["copies"], int) or f["copies"] == "unbounded"
-        )
-    _require(copies_ok, 'flow copies must be an integer or "unbounded"')
+        fields.append((src, dst, copies, label))
+    _require(
+        all(isinstance(c, int) or c == "unbounded" for _, _, c, _ in fields),
+        'flow copies must be an integer or "unbounded"',
+    )
     edges = data.get("edges")
     _require(isinstance(edges, list), _EDGES_SHAPE)
     for e in edges:
@@ -119,15 +128,10 @@ def instance_from_dict(data: dict) -> NcInstance:
             raise _malformed(_EDGES_SHAPE)
     formula_text = data.get("formula")
     _require(isinstance(formula_text, (str, type(None))), "'formula' must be a string")
-    network = Network((n.id for n in table), edges, cap)
+    network = Network([n.id for n in table], edges, cap)
     requests = tuple(
-        FlowRequest(
-            f["src"],
-            f["dst"],
-            None if f["copies"] == "unbounded" else f["copies"],
-            f["label"],
-        )
-        for f in flows
+        FlowRequest(src, dst, None if copies == "unbounded" else copies, label)
+        for src, dst, copies, label in fields
     )
     formula = parse_dimacs(formula_text) if formula_text else None
     return NcInstance(network, requests, tuple(table), formula)
@@ -149,11 +153,11 @@ def dumps_instance(inst: NcInstance) -> str:
     q = encode_basestring_ascii
     cap = inst.network.capacity
     nodes = [
-        f'{{\n      "id": {q(n.id)},\n'
-        f'      "paper_index": {_json_string(n.paper_index)},\n'
-        f'      "subset": {q(n.subset)},\n'
-        f'      "capacity": {cap[n.id]}\n    }}'
-        for n in inst.node_table
+        f'{{\n      "id": {q(v)},\n'
+        f'      "paper_index": {_json_string(paper_index)},\n'
+        f'      "subset": {q(subset)},\n'
+        f'      "capacity": {cap[v]}\n    }}'
+        for v, paper_index, subset in inst.node_table
     ]
     edges = [f"[\n      {q(u)},\n      {q(v)}\n    ]" for u, v in inst.network.edges()]
     flows = [
@@ -189,10 +193,10 @@ def to_dot(inst: NcInstance) -> str:
     capacity in the label), one edge line per undirected edge."""
     lines = ["graph nc {"]
     cap = inst.network.capacity
-    for n in inst.node_table:
-        label = n.id if n.paper_index is None else f"{n.id} {n.paper_index}"
-        shape = _SUBSET_SHAPES.get(n.subset, "plaintext")
-        lines.append(f'  "{n.id}" [shape={shape}, label="{label} [{cap[n.id]}]"];')
+    for v, paper_index, subset in inst.node_table:
+        label = v if paper_index is None else f"{v} {paper_index}"
+        shape = _SUBSET_SHAPES.get(subset, "plaintext")
+        lines.append(f'  "{v}" [shape={shape}, label="{label} [{cap[v]}]"];')
     for u, v in inst.network.edges():
         lines.append(f'  "{u}" -- "{v}";')
     lines.append("}")

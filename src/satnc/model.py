@@ -22,9 +22,14 @@ LoadMap = dict[str, int]
 
 
 class Network:
-    """Undirected, loop-free graph with a non-negative capacity per node."""
+    """Undirected, loop-free graph with a non-negative capacity per node.
 
-    __slots__ = ("_nodes", "_adj", "_capacity", "_tx", "_edges")
+    One table per node: its transmit tuple ``(v, *neighbours)``, every node
+    a transmission from ``v`` loads, neighbours in the order their edges
+    were first listed.  Adjacency, edges and equality are read off it.
+    """
+
+    __slots__ = ("_nodes", "_capacity", "_tx", "_edges")
 
     def __init__(
         self,
@@ -33,17 +38,21 @@ class Network:
         capacity: Mapping[str, int],
     ) -> None:
         self._nodes = tuple(nodes)
-        if len(set(self._nodes)) != len(self._nodes):
+        tx: dict[str, list[str]] = {v: [v] for v in self._nodes}
+        if len(tx) != len(self._nodes):
             raise ValueError("duplicate node ids")
-        known = set(self._nodes)
-        adj: dict[str, set[str]] = {v: set() for v in self._nodes}
         for u, v in edges:
-            if u not in known or v not in known:
-                raise ValueError(f"edge ({u!r}, {v!r}) references an unknown node")
+            try:
+                tu, tv = tx[u], tx[v]
+            except KeyError:
+                raise ValueError(
+                    f"edge ({u!r}, {v!r}) references an unknown node"
+                ) from None
             if u == v:
                 raise ValueError(f"self-loop on {u!r}")
-            adj[u].add(v)
-            adj[v].add(u)
+            if v not in tu:  # an edge listed twice is one edge
+                tu.append(v)
+                tv.append(u)
         caps: dict[str, int] = {}
         for v in self._nodes:
             if v not in capacity:
@@ -52,8 +61,7 @@ class Network:
             if not isinstance(c, int) or isinstance(c, bool) or c < 0:
                 raise ValueError(f"capacity of {v!r} must be a non-negative integer")
             caps[v] = c
-        self._adj = {v: frozenset(members) for v, members in adj.items()}
-        self._tx = {v: (v, *members) for v, members in adj.items()}
+        self._tx = dict(zip(tx, map(tuple, tx.values())))
         self._capacity = caps
         self._edges: tuple[tuple[str, str], ...] | None = None  # sorted on first use
 
@@ -73,13 +81,14 @@ class Network:
         return v in self._capacity
 
     def has_edge(self, u: str, v: str) -> bool:
-        return u in self._adj and v in self._adj[u]
+        return u != v and v in self._tx.get(u, ())
 
     def edges(self) -> tuple[tuple[str, str], ...]:
         """Every undirected edge once, as sorted pairs in sorted order."""
         if self._edges is None:
-            adj = self._adj
-            self._edges = tuple(sorted((u, v) for u in adj for v in adj[u] if u < v))
+            self._edges = tuple(
+                sorted([(u, w) for u, t in self._tx.items() for w in t[1:] if u < w])
+            )
         return self._edges
 
     def _require(self, v: str) -> None:
@@ -88,7 +97,7 @@ class Network:
 
     def adjacency(self, v: str) -> frozenset[str]:
         self._require(v)
-        return self._adj[v]
+        return frozenset(self._tx[v][1:])
 
     @property
     def transmit_sets(self) -> Mapping[str, tuple[str, ...]]:
@@ -100,8 +109,8 @@ class Network:
             return NotImplemented
         return (
             self._nodes == other._nodes
-            and self._adj == other._adj
             and self._capacity == other._capacity
+            and self.edges() == other.edges()
         )
 
     def __repr__(self) -> str:

@@ -38,11 +38,9 @@ class _Router:
     def __init__(self, net: Network) -> None:
         self.ids = ids = tuple(sorted(net.nodes))
         index = self.index = {v: i for i, v in enumerate(ids)}
-        self.adj = tuple(
-            tuple(sorted(index[w] for w in net.adjacency(v))) for v in ids
-        )
         tx = net.transmit_sets
-        self.tx = tuple(tuple(index[w] for w in tx[v]) for v in ids)
+        self.tx = tuple(tuple(map(index.__getitem__, tx[v])) for v in ids)
+        self.adj = tuple(tuple(sorted(t[1:])) for t in self.tx)
         self.capacity = tuple(net.capacity[v] for v in ids)
         self.hops_to: dict[int, list[int]] = {}  # per target, filled on use
         self.component: list[int] = []  # a label per node, filled on use

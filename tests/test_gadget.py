@@ -31,6 +31,7 @@ from satnc import (
     random_formula,
     solve_exact,
 )
+from satnc.cnf import clause_true_sets, realizable_true_sets
 from conftest import A1, A2, BROKEN_PATH_RAW
 from oracles import reference_audit, subset_sizes
 
@@ -227,6 +228,14 @@ def test_audit_matches_reference_audit():
         ]
         seen.update(kind for f in report.failures for kind in kinds if kind in f)
     assert seen == set(kinds)
+
+
+def test_true_set_memo_matches_direct_enumeration():
+    # Every clause of width 1-4 over variables 1-3, both polarities: the sets
+    # memoized under the clause's normalized pattern are the clause's own.
+    for width in range(1, 5):
+        for clause in itertools.product((1, -1, 2, -2, 3, -3), repeat=width):
+            assert clause_true_sets(clause) == tuple(realizable_true_sets(clause))
 
 
 class TestAssignmentPlan:

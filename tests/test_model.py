@@ -50,6 +50,42 @@ class TestNeighbors:
             path_graph("AB").adjacency("Z")
 
 
+class TestOneTable:
+    EDGES = [("A", "B"), ("B", "C"), ("A", "C"), ("C", "D")]
+
+    def test_edge_listed_twice_is_one_edge(self):
+        once = make_network("ABCD", self.EDGES, 3)
+        twice = make_network("ABCD", self.EDGES + [("B", "A"), ("C", "D")], 3)
+        for v in once.nodes:
+            assert twice.transmit_sets[v] == once.transmit_sets[v]
+            assert len(set(twice.transmit_sets[v])) == len(twice.transmit_sets[v])
+            assert twice.adjacency(v) == once.adjacency(v)
+        route = ("A", "B", "C", "D")
+        assert path_load(twice, route) == path_load(once, route)
+        assert plan_load(twice, plan_of(twice, route)) == plan_load(
+            once, plan_of(once, route)
+        )
+        assert twice.edges() == once.edges() == (
+            ("A", "B"), ("A", "C"), ("B", "C"), ("C", "D")
+        )
+        assert twice == once
+
+    def test_no_node_is_its_own_neighbour(self):
+        net = make_network("ABCD", self.EDGES, 3)
+        assert not any(net.has_edge(v, v) for v in net.nodes)
+        assert all(v in net.transmit_sets[v] for v in net.nodes)
+        assert net.has_edge("A", "B") and net.has_edge("B", "A")
+        assert not net.has_edge("A", "D") and not net.has_edge("Z", "A")
+
+    def test_equality_ignores_edge_order(self):
+        forward = make_network("ABCD", self.EDGES, 3)
+        backward = make_network("ABCD", [(v, u) for u, v in reversed(self.EDGES)], 3)
+        assert forward.transmit_sets["C"] != backward.transmit_sets["C"]  # listed order
+        assert forward == backward
+        assert forward != make_network("ABCD", self.EDGES[:-1] + [("B", "D")], 3)
+        assert forward != make_network("ABCD", self.EDGES, 4)
+
+
 class TestInterferenceSet:
     def test_isolated_edge(self):
         net = make_network(["A", "B"], [("A", "B")], 1)
