@@ -7,6 +7,7 @@ audit failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -37,16 +38,14 @@ _CAP_FIELDS = {
 
 
 def _parse_caps(text: str | None) -> CapacityPreset:
-    if not text:
-        return CapacityPreset()
     overrides = {}
-    for item in text.split(","):
+    for item in text.split(",") if text else ():
         key, _, value = item.partition("=")
-        key = key.strip().lower()
-        if key not in _CAP_FIELDS or not value.strip().lstrip("-").isdigit():
-            raise ValueError(f"bad capacity override {item!r}")
-        overrides[_CAP_FIELDS[key]] = int(value)
-    return CapacityPreset(**{**CapacityPreset().__dict__, **overrides})
+        try:
+            overrides[_CAP_FIELDS[key.strip().lower()]] = int(value)
+        except (KeyError, ValueError):
+            raise ValueError(f"bad capacity override {item!r}") from None
+    return CapacityPreset(**overrides)
 
 
 def _parse_literals(text: str) -> dict[int, bool]:
@@ -311,6 +310,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # built on first use, so importing the module stays cheap
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="satnc",

@@ -42,7 +42,6 @@ class _Router:
         self.tx = tuple(tuple(map(index.__getitem__, tx[v])) for v in ids)
         self.adj = tuple(tuple(sorted(t[1:])) for t in self.tx)
         self.capacity = tuple(net.capacity[v] for v in ids)
-        self.hops_to: dict[int, list[int]] = {}  # per target, filled on use
         self.component: list[int] = []  # a label per node, filled on use
 
     def path_ids(self, path: tuple[int, ...]) -> Path:
@@ -87,37 +86,25 @@ class _Router:
         return self.component
 
     def paths(
-        self,
-        s: int,
-        t: int,
-        room: list,
-        floor: tuple[int, ...] = (),
-        max_hops: int | None = None,
+        self, s: int, t: int, room: list, floor: tuple[int, ...] = ()
     ) -> Iterator[tuple[int, ...]]:
         """Yield each s-t path that fits in ``room``, in lexicographic order,
-        from ``floor`` on and with at most ``max_hops`` hops.
+        from ``floor`` on.
 
         Depth-first without recursion.  Each trail node takes one unit of
         room from every node of its transmit set and gives it back when the
         search backtracks; a prefix is cut once that would leave some node
         without room (a path's load depends only on its transmitters, so the
-        prefix's load is a lower bound), or once its hops plus the distance
-        left to ``t`` exceed ``max_hops``.  ``room`` is mutated during the
+        prefix's load is a lower bound).  ``room`` is mutated during the
         search but restored before every yield, so a caller sees its own
         values between resumptions, and a generator closed or dropped at a
         yield leaves nothing behind.  A caller may change ``room`` while the
         generator is suspended if it restores it before resuming.
         """
         adj, tx = self.adj, self.tx
-        limited = max_hops is not None
-        if limited:
-            dist = self.hops_to.get(t)
-            if dist is None:
-                dist = self.hops_to[t] = self._hops(t)
-        else:
-            comp = self._components()
-            if comp[s] != comp[t]:
-                return  # nothing reachable from s can reach t
+        comp = self._components()
+        if comp[s] != comp[t]:
+            return  # nothing reachable from s can reach t
         for v in tx[s]:
             if room[v] <= 0:
                 return
@@ -132,11 +119,7 @@ class _Router:
         kids = adj[s]
         for w in floor[1:]:
             i = kids.index(w)
-            if (
-                w == t
-                or (limited and len(trail) + dist[w] > max_hops)
-                or not all(room[v] > 0 for v in tx[w])
-            ):
+            if w == t or not all(room[v] > 0 for v in tx[w]):
                 levels.append(iter(kids[i:]))
                 break
             levels.append(iter(kids[i + 1 :]))
@@ -152,9 +135,7 @@ class _Router:
                     self.charge(room, trail, 1)
                     yield (*trail, t)
                     self.charge(room, trail, -1)
-                elif not on_trail[w] and (
-                    not limited or len(trail) + dist[w] <= max_hops
-                ):
+                elif not on_trail[w]:
                     txw = tx[w]
                     for v in txw:
                         if room[v] <= 0:
@@ -337,26 +318,32 @@ def _check_start(inst: NcInstance, start: RoutePlan, required: Collection[int]) 
 
 
 def solve_greedy(inst: NcInstance) -> SolveResult:
-    """Admit copies in demand order, each over the feasible path with the
-    fewest hops (node ids break ties); a demand stops at its first
-    rejection.  Never certified optimal."""
+    """Admit copies in demand order, each flow over one fixed path: its
+    shortest, lexicographically first among its peers, from one breadth-first
+    walk per flow that ignores load.  A demand stops at its first copy that
+    does not fit.  Polynomial, and never certified optimal."""
     router = _Router(inst.network)
+    adj, tx = router.adj, router.tx
     room = list(router.capacity)
     plan: list[RouteAssignment] = []
     for flow, copies in zip(inst.flows, _effective_copies(inst)):
         s, t = router.index[flow.src], router.index[flow.dst]
+        hops = router._hops(t)
+        if hops[s] == len(adj):
+            continue  # t is out of reach
+        # Index order is id order, so the smallest neighbour one hop nearer
+        # at each step gives the lexicographically first shortest path.
+        path = [s]
+        while path[-1] != t:
+            near = hops[path[-1]] - 1
+            path.append(next(w for w in adj[path[-1]] if hops[w] == near))
+        ids = router.path_ids(tuple(path))
         for ci in range(copies):
-            # Deepening on hop count: the first path at the smallest depth
-            # is the shortest one, lexicographically first among its peers.
-            tries = (
-                next(router.paths(s, t, room, max_hops=hops), None)
-                for hops in range(1, len(router.ids))
-            )
-            path = next(filter(None, tries), None)
-            if path is None:
-                break
             router.charge(room, path[:-1], -1)
-            plan.append(RouteAssignment(flow, ci, router.path_ids(path)))
+            if any(room[v] < 0 for u in path[:-1] for v in tx[u]):
+                router.charge(room, path[:-1], 1)
+                break
+            plan.append(RouteAssignment(flow, ci, ids))
     return SolveResult(RoutePlan(tuple(plan)), optimal=False)
 
 

@@ -2,8 +2,8 @@
 
 Everything here is written from the ground rules only: adjacency is an
 edge-list scan, interference membership is re-derived per node, path
-enumeration is plain recursion, and the plan optimum is an exhaustive
-sweep.  Nothing imports the package's load or search code; the reference
+enumeration is plain recursion, the plan optimum is an exhaustive sweep,
+and the greedy plan picks from the full path list.  Nothing imports the package's load or search code; the reference
 audit borrows only the compiler's node names and report types.
 """
 
@@ -97,6 +97,25 @@ def naive_best_accept(nodes, edges, caps, demands, required=()) -> int:
 
     recurse(0, 0, [], frozenset())
     return best
+
+
+def reference_greedy(nodes, edges, caps, demands) -> list[tuple[int, tuple[str, ...]]]:
+    """Greedy admission from the ground rules: each demand in turn takes its
+    smallest elementary path by (length, node ids) and adds copies over it
+    while the plan stays feasible.  ``demands`` is a list of (src, dst,
+    copies) triples; the result lists (demand index, path) per copy."""
+    chosen: list[tuple[int, tuple[str, ...]]] = []
+    for di, (s, t, copies) in enumerate(demands):
+        paths = naive_simple_paths(nodes, edges, s, t)
+        if not paths:
+            continue
+        path = min(paths, key=lambda p: (len(p), p))
+        for _ in range(copies):
+            routed = [p for _, p in chosen] + [path]
+            if not naive_plan_feasible(nodes, edges, caps, routed):
+                break
+            chosen.append((di, path))
+    return chosen
 
 
 def subset_sizes(clauses, var_count) -> dict[str, int]:

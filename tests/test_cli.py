@@ -31,7 +31,7 @@ from satnc import (
     plain_instance,
     save_instance,
 )
-from satnc.cli import main
+from satnc.cli import build_parser, main
 from conftest import BROKEN_PATH_RAW, FIXTURES, WORKED_CLAUSES
 
 A1_LITERALS = "1 2 3 -4 -5 -6"
@@ -243,6 +243,10 @@ class TestSolve:
             captured = capsys.readouterr()
             assert code == 2 and captured.out == ""
             assert captured.err == f"error: {message}\n"
+
+
+def test_parser_built_once():
+    assert build_parser() is build_parser()
 
 
 def _worked_dict() -> dict:
@@ -525,6 +529,16 @@ class TestVerify:
         assert witnesses
         payload = json.loads(witnesses[0].read_text())
         assert any("bypass not blocked" in f for f in payload["audit_failures"])
+
+    @pytest.mark.parametrize("caps", ["v9=1", "v4=abc", "v4=", "v4=²"])
+    def test_malformed_caps_exit_2(self, capsys, caps):
+        code = main(
+            ["verify", "--vars", "3", "--clauses", "1", "--k", "3",
+             "--trials", "1", "--seed", "1", "--caps", caps]
+        )
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: bad capacity override {caps!r}\n"
 
     def test_max_sat_mismatch_fails(self, capsys, tmp_path, monkeypatch):
         # A MAX-SAT oracle that undercounts by one must fail the run through

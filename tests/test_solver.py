@@ -18,12 +18,18 @@ from satnc import (
     inapprox_bound,
     load_instance,
     plain_instance,
+    random_formula,
     solve_exact,
     solve_greedy,
 )
 from satnc.solver import _Router
 from conftest import FIXTURES, make_network, path_graph, random_connected_network
-from oracles import naive_best_accept, naive_plan_feasible, naive_simple_paths
+from oracles import (
+    naive_best_accept,
+    naive_plan_feasible,
+    naive_simple_paths,
+    reference_greedy,
+)
 
 
 def demand_instance(net, demands):
@@ -276,6 +282,34 @@ class TestSolveGreedy:
         inst = plain_instance(path_graph("AB"), (FlowRequest("A", "B", 1, "f"),))
         assert solve_greedy(inst).optimal is False
 
+    def test_unreachable_demand_skipped(self):
+        net = make_network("ABCD", [("A", "B"), ("C", "D")], 3)
+        inst = demand_instance(net, [("A", "C", 1), ("C", "D", 1)])
+        assert [a.flow.label for a in solve_greedy(inst).plan.assignments] == ["d1"]
+
+    def test_worked_example_routes_only_the_preloads(self, worked_instance):
+        # Main's shortest path jumps from clause 1 to clause 3 through the
+        # conflict node n_2, which no route can cross.
+        result = solve_greedy(worked_instance)
+        assert [a.flow for a in result.plan.assignments] == list(
+            worked_instance.flows[:-1]
+        )
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            pytest.param(lambda: load_instance(FIXTURES / "mid_formula.json"), id="mid"),
+            pytest.param(
+                lambda: compile_formula(random_formula(20, 80, 3, 1)), id="20-80-3"
+            ),
+        ],
+    )
+    def test_compiled_instance_routes_its_preloads(self, inst):
+        inst = inst()
+        result = solve_greedy(inst)
+        assert [a.flow for a in result.plan.assignments] == list(inst.flows[:-1])
+        assert result.accepted_count == len(inst.formula.clauses)
+
 
 class TestInapproxBound:
     def test_k3(self):
@@ -320,6 +354,22 @@ def test_exact_at_least_greedy_and_feasible(seed):
     assert check_feasible(net, greedy.plan).ok
     supply = sum(c for _, _, c in demands)
     assert exact.accepted_count <= supply
+
+
+@given(st.integers(0, 100_000))
+@settings(max_examples=60, deadline=None)
+def test_greedy_matches_reference_greedy(seed):
+    # Unbounded demands get one copy more than any capacity, as for exact.
+    rng = random.Random(seed)
+    net, demands = random_demand_instance(rng)
+    demands = [(s, t, rng.choice([None, c])) for s, t, c in demands]
+    inst = demand_instance(net, demands)
+    spare = max(net.capacity.values()) + 1
+    finite = [(s, t, c or spare) for s, t, c in demands]
+    expected = reference_greedy(net.nodes, net.edges(), dict(net.capacity), finite)
+    assert [(a.flow, a.path) for a in solve_greedy(inst).plan.assignments] == [
+        (inst.flows[di], path) for di, path in expected
+    ]
 
 
 @given(st.integers(0, 100_000))
