@@ -292,6 +292,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
+    # Python prints no int of more than ``limit`` digits (0: no limit, as
+    # before 3.10.7), and 2**k has more exactly when it reaches 10**limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and args.k >= (10**limit).bit_length():
+        raise ValueError(
+            f"--k {args.k} is too large: 2**k has more than {limit} digits, "
+            "Python's limit for printing an integer"
+        )
     value = inapprox_bound(args.k)
     decimal = f"{float(value):.6f}"
     if args.json:

@@ -74,10 +74,10 @@ def _list(data: dict, key: str) -> list:
 def instance_from_dict(data: dict) -> NcInstance:
     """Rebuild an instance; raises ValueError on any malformed shape."""
     _require(isinstance(data, dict), "the top level must be an object")
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported schema_version {data.get('schema_version')!r}"
-        )
+    version = data.get("schema_version")
+    # An exact type test: true and 1.0 compare equal to 1 but are not it.
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema_version {version!r}")
     table: list[NodeInfo] = []
     cap: dict[str, int] = {}
     for n in _list(data, "nodes"):
@@ -133,7 +133,7 @@ def instance_from_dict(data: dict) -> NcInstance:
         FlowRequest(src, dst, None if copies == "unbounded" else copies, label)
         for src, dst, copies, label in fields
     )
-    formula = parse_dimacs(formula_text) if formula_text else None
+    formula = None if formula_text is None else parse_dimacs(formula_text)
     return NcInstance(network, requests, tuple(table), formula)
 
 

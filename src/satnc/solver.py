@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -33,16 +34,25 @@ class _Router:
     id tuples do; adjacency lists and transmit sets are tuples of indices.
     The search reads and writes a caller's ``room`` list, indexed the same
     way: ``room[v]`` is how many more transmissions node ``v`` can hear.
+    ``ids``, ``index`` and ``capacity`` are built at once; the transmit
+    sets, the adjacency lists and the component labels are built on first
+    use, so a solve that its root bound settles never builds them.
     """
 
     def __init__(self, net: Network) -> None:
+        self.net = net
         self.ids = ids = tuple(sorted(net.nodes))
-        index = self.index = {v: i for i, v in enumerate(ids)}
-        tx = net.transmit_sets
-        self.tx = tuple(tuple(map(index.__getitem__, tx[v])) for v in ids)
-        self.adj = tuple(tuple(sorted(t[1:])) for t in self.tx)
-        self.capacity = tuple(net.capacity[v] for v in ids)
-        self.component: list[int] = []  # a label per node, filled on use
+        self.index = {v: i for i, v in enumerate(ids)}
+        self.capacity = tuple(map(net.capacity.__getitem__, ids))
+
+    @functools.cached_property
+    def tx(self) -> tuple[tuple[int, ...], ...]:
+        index, tx = self.index, self.net.transmit_sets
+        return tuple(tuple(map(index.__getitem__, tx[v])) for v in self.ids)
+
+    @functools.cached_property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(sorted(t[1:])) for t in self.tx)
 
     def path_ids(self, path: tuple[int, ...]) -> Path:
         return tuple(map(self.ids.__getitem__, path))
@@ -69,21 +79,21 @@ class _Router:
                     queue.append(w)
         return dist
 
-    def _components(self) -> list[int]:
+    @functools.cached_property
+    def component(self) -> list[int]:
         """A connected-component label per node; the graph is walked once."""
-        if not self.component:
-            adj = self.adj
-            label = self.component = [-1] * len(adj)
-            for root in range(len(adj)):
-                if label[root] < 0:
-                    label[root] = root
-                    queue = [root]
-                    for u in queue:
-                        for w in adj[u]:
-                            if label[w] < 0:
-                                label[w] = root
-                                queue.append(w)
-        return self.component
+        adj = self.adj
+        label = [-1] * len(adj)
+        for root in range(len(adj)):
+            if label[root] < 0:
+                label[root] = root
+                queue = [root]
+                for u in queue:
+                    for w in adj[u]:
+                        if label[w] < 0:
+                            label[w] = root
+                            queue.append(w)
+        return label
 
     def paths(
         self, s: int, t: int, room: list, floor: tuple[int, ...] = ()
@@ -102,7 +112,7 @@ class _Router:
         generator is suspended if it restores it before resuming.
         """
         adj, tx = self.adj, self.tx
-        comp = self._components()
+        comp = self.component
         if comp[s] != comp[t]:
             return  # nothing reachable from s can reach t
         for v in tx[s]:
@@ -203,8 +213,13 @@ def solve_exact(
     many copies the residual capacity at its endpoints could still carry.
     ``start``, a feasible plan that routes every required flow, is the
     first incumbent, so the bound prunes against it from the root.  The
-    result is optimal unless the node budget (at least 1) ran out; when no
-    plan routes every required flow, it accepts 0 copies with an empty plan.
+    root bound is tested before any path is searched, with every flow
+    counted as routable; only when it fails to prune does one search per
+    flow settle which flows have a path, and only then are the router's
+    transmit sets, adjacency lists and component labels built.  A start
+    that meets the bound is certified by that one comparison.  The result
+    is optimal unless the node budget (at least 1) ran out; when no plan
+    routes every required flow, it accepts 0 copies with an empty plan.
 
     The residual capacity is one list, ``room[v] = capacity - load``: a
     routed copy takes its load from it and gives it back on backtrack, and
@@ -221,8 +236,7 @@ def solve_exact(
     room = list(router.capacity)
     copies = _effective_copies(inst)
     ends = [(router.index[f.src], router.index[f.dst]) for f in inst.flows]
-    # Whether each flow has a path at the root.
-    routable = [next(router.paths(s, t, room), None) is not None for s, t in ends]
+    routable = [True] * len(ends)  # whether each flow has a path at the root
     # A copy loads its source twice unless s-t is one hop: the second
     # transmitter is in the source's range.  Its destination hears one.
     min_src = [1 if net.has_edge(f.src, f.dst) else 2 for f in inst.flows]
@@ -270,6 +284,12 @@ def solve_exact(
         paths = router.paths(*ends[fi], room, floor) if ci < copies[fi] else iter(())
         stack.append([fi, ci, accepted, paths, None])  # last: the routed path
 
+    # Every flow counts as routable until the root bound fails to prune:
+    # that bound is never below the exact one, so it prunes only where the
+    # exact one would.  Otherwise one path search per flow settles which are,
+    # and ``enter`` tests the root again with the exact bound.
+    if inst.flows and supply_bound(0, 0) > best_count:
+        routable = [next(router.paths(s, t, room), None) is not None for s, t in ends]
     enter(0, 0, (), 0)
     while stack and explored <= budget:
         frame = stack[-1]

@@ -296,6 +296,13 @@ def _malformed_cases() -> dict[str, object]:
     data = _worked_dict()
     data["flows"][1]["dst"] = "Z9"
     cases["flow to an unknown node"] = data
+    for version in (True, 1.0):
+        data = _worked_dict()
+        data["schema_version"] = version
+        cases[f"schema_version {version!r}"] = data
+    data = _worked_dict()
+    data["formula"] = ""
+    cases["formula empty"] = data
     return cases
 
 
@@ -324,12 +331,15 @@ _MALFORMED_ERRORS = {
     "edges not a list": _EDGES_SHAPE,
     "flow to an unknown node": "error: flow 'preload-2' references unknown nodes\n",
     "flows not a list": _NOT_A_LIST.format("flows"),
+    "formula empty": "error: missing header at line 1\n",
     "missing edges": _EDGES_SHAPE,
     "missing flows": _NOT_A_LIST.format("flows"),
     "missing nodes": _NOT_A_LIST.format("nodes"),
     "node not an object": _NODES_SHAPE,
     "nodes an int": _NOT_A_LIST.format("nodes"),
     "nodes not a list": _NOT_A_LIST.format("nodes"),
+    "schema_version 1.0": "error: unsupported schema_version 1.0\n",
+    "schema_version True": "error: unsupported schema_version True\n",
     "self-loop": "error: self-loop on 'B2'\n",
     "top level a list": "error: malformed instance: the top level must be an object\n",
 }
@@ -577,6 +587,21 @@ class TestBound:
 
     def test_k1_exit_2(self, capsys):
         assert main(["bound", "--k", "1"]) == 2
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_too_many_digits_exit_2(self, capsys, mode):
+        # 2**14285 is the first power of two with more than 4,300 digits.
+        if getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300:
+            pytest.skip("the interpreter's digit limit is not the default")
+        assert main(["bound", "--k", "14284", *mode]) == 0
+        capsys.readouterr()
+        assert main(["bound", "--k", "14285", *mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --k 14285 is too large: 2**k has more than 4300 digits, "
+            "Python's limit for printing an integer\n"
+        )
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

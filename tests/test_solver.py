@@ -7,18 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import satnc.harness
 from satnc import (
     FlowRequest,
     Formula,
     RouteAssignment,
     RoutePlan,
+    assignment_plan,
+    brute_sat,
     check_feasible,
     compile_formula,
     enum_paths,
     inapprox_bound,
     load_instance,
+    max_sat_brute,
     plain_instance,
     random_formula,
+    run_verification,
     solve_exact,
     solve_greedy,
 )
@@ -257,6 +262,66 @@ class TestRouterRoom:
             assert room == list(router.capacity)
             full = list(router.capacity)
             assert list(search(router, s, t, room)) == list(search(router, s, t, full))
+
+
+class TestRootCertificate:
+    """A warm start that meets the root bound is proven optimal by that
+    bound alone, before any path is searched."""
+
+    @pytest.mark.parametrize(
+        "shape",  # (n, m, k, seed) of a random formula, or the worked example
+        [None, *((4, 3, 3, s) for s in range(3)), *((5, 6, 3, s) for s in range(3))],
+        ids=lambda shape: "worked" if shape is None else f"random{shape}",
+    )
+    def test_satisfiable_start_certified_without_path_search(
+        self, monkeypatch, worked_formula, shape
+    ):
+        f = worked_formula if shape is None else random_formula(*shape)
+        assert brute_sat(f) is not None
+        inst = compile_formula(f)
+        start = assignment_plan(inst, max_sat_brute(f)[1])
+        assert len(start) == len(f.clauses) + 1  # the root bound: m + 1
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("a path was searched")
+
+        monkeypatch.setattr(_Router, "paths", no_search)
+        result = solve_exact(inst, required={len(inst.flows) - 1}, start=start)
+        assert result.optimal and not result.budget_hit
+        assert result.nodes_explored == 1
+        assert result.plan == start
+
+    # (nodes_explored, accepted_count, optimal) of each trial's warm-started
+    # solve with main required, as the solver gave them before the root
+    # bound was tested ahead of the routability search.
+    @pytest.mark.parametrize(
+        ("shape", "seed", "pinned"),
+        [
+            (
+                (3, 7, 2),
+                2,
+                [(22, 7, True), (1, 8, True), (1, 8, True), (22, 7, True)]
+                + [(1, 8, True)] * 3
+                + [(22, 7, True), (1, 8, True), (22, 7, True)],
+            ),
+            ((4, 3, 3), 1, [(1, 4, True)] * 10),
+        ],
+    )
+    def test_warm_started_trials_pinned(self, monkeypatch, shape, seed, pinned):
+        seen = []
+
+        def spy(inst, *args, **kwargs):
+            result = solve_exact(inst, *args, **kwargs)
+            if kwargs.get("required"):
+                assert kwargs.get("start") is not None
+                seen.append(
+                    (result.nodes_explored, result.accepted_count, result.optimal)
+                )
+            return result
+
+        monkeypatch.setattr(satnc.harness, "solve_exact", spy)
+        assert run_verification(*shape, 10, seed=seed).all_ok
+        assert seen == pinned
 
 
 class TestSolveGreedy:
