@@ -259,7 +259,8 @@ def compile_formula(
         edges += itertools.combinations(row, 2)
         lits.append(row)
         bypasses.append(b)
-    for index, (ci, cj), (ni, nj) in conflict_pairs(formula):
+    pairs = conflict_pairs(formula)
+    for index, (ci, cj), (ni, nj) in pairs:
         k = conflict_id(index)
         table.append(NodeInfo(k, f"n_{index}", "V5"))
         cap[k] = caps.conflict
@@ -278,7 +279,9 @@ def compile_formula(
         FlowRequest(a, b, 1, f"preload-{i}")
         for i, (a, b) in enumerate(zip(sources, bypasses), 1)
     ) + (FlowRequest(entry_id(1), TERMINAL, None, "main"),)
-    return NcInstance(network, flows, tuple(table), formula)
+    inst = NcInstance(network, flows, tuple(table), formula)
+    inst.__dict__["conflicts"] = pairs  # the cached property, built above
+    return inst
 
 
 def _require_compiled(inst: NcInstance) -> Formula:

@@ -8,6 +8,12 @@ m otherwise.  The per-trial record also carries the count correspondence
 behind the gap constant: the admission optimum with the main flow required
 equals 1 + the MAX-SAT optimum, because dropping preload i is exactly what
 lets the main flow cross clause i over its bypass.
+
+A plan without the main flow holds at most the m one-copy preloads, so once
+the optimum with main required reaches m it is also the unconstrained
+optimum, and a trial runs one solve and one feasibility check (the solver's,
+of its warm start).  Only below m is the preload plan checked, and the whole
+instance solved when that plan is not feasible.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from .gadget import (
 )
 from .instance_io import instance_to_dict
 from .model import check_feasible
-from .solver import solve_exact
+from .solver import InfeasibleStart, solve_exact
 
 
 @dataclass(frozen=True)
@@ -94,7 +100,8 @@ def run_verification(
     seed: int,
     caps: CapacityPreset = CapacityPreset(),
 ) -> VerificationReport:
-    """Run seeded trials; deterministic byte-for-byte for a fixed seed."""
+    """Run seeded trials, every solve under the default budget of 10,000,000
+    nodes; deterministic byte-for-byte for a fixed seed."""
     if trials < 0:
         raise ValueError("trials must be non-negative")
     if clause_count < 1 and trials > 0:
@@ -110,17 +117,25 @@ def run_verification(
         max_sat, best = max_sat_brute(formula)
         # The best assignment's plan accepts 1 + max_sat copies; as the first
         # incumbent it leaves the solver only the proof that none does better.
-        start = assignment_plan(inst, best)
-        if not check_feasible(inst.network, start).ok:
-            start = None
-        main = len(inst.flows) - 1
-        with_main = solve_exact(inst, required=(main,), start=start)
+        # The solver checks it; a start that overloads a node, which happens
+        # only under capacity overrides, leaves the solve cold.
+        main, start = len(inst.flows) - 1, assignment_plan(inst, best)
+        try:
+            with_main = solve_exact(inst, required=(main,), start=start)
+        except InfeasibleStart:
+            with_main = solve_exact(inst, required=(main,))
         max_traversable = with_main.accepted_count - 1
-        if check_feasible(inst.network, preload_plan(inst)).ok:
-            # Without main a plan holds at most the m preload copies.
-            nc_accepted = max(with_main.accepted_count, clause_count)
+        if with_main.accepted_count >= clause_count:
+            # A plan without main holds at most the m one-copy preloads, so
+            # an optimum with main of at least m is the unconstrained one.
+            nc_accepted = with_main.accepted_count
             optimal = with_main.optimal
-        else:  # capacity overrides that overload a preload hop
+        elif check_feasible(inst.network, preload_plan(inst)).ok:
+            # Below m (every assignment leaves two clauses unsatisfied, or
+            # capacity overrides) the m preloads are the optimum.
+            nc_accepted = clause_count
+            optimal = with_main.optimal
+        else:  # overrides that also overload a preload hop: solve it all
             result = solve_exact(inst)
             nc_accepted = result.accepted_count
             optimal = with_main.optimal and result.optimal

@@ -177,7 +177,11 @@ def dumps_instance(inst: NcInstance) -> str:
 
 
 def loads_instance(text: str) -> NcInstance:
-    return instance_from_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise _malformed("JSON nested too deeply") from None
+    return instance_from_dict(data)
 
 
 def save_instance(inst: NcInstance, path: str | FsPath) -> None:

@@ -225,10 +225,20 @@ def is_elementary(p: Path) -> bool:
 def validate_path(net: Network, p: Path) -> None:
     """Raise unless ``p`` is an elementary path over edges of ``net``.
 
-    One pass: an unknown node raises ValueError at once; otherwise the
-    first repeated node, else the first hop that is not an edge, raises
-    PathError.
+    A well-formed path passes three whole-path scans: every node known, no
+    node repeated, every hop an edge.  Any other path takes one walk: an
+    unknown node raises ValueError at once; otherwise the first repeated
+    node, else the first hop that is not an edge, raises PathError.
     """
+    sets = list(map(net._tx.get, p))
+    # A hop (u, x) is an edge when x is in u's transmit tuple and x != u,
+    # which the repeat test already ensures.
+    if (
+        None not in sets
+        and is_elementary(p)
+        and all(map(tuple.__contains__, sets, p[1:]))
+    ):
+        return
     seen: set[str] = set()
     repeat: str | None = None
     bad_hop: Hop | None = None
@@ -261,10 +271,9 @@ def hops_load(net: Network, hops: Iterable[Hop]) -> LoadMap:
 
 def overloaded_nodes(net: Network, loads: Mapping[str, int]) -> tuple[Overload, ...]:
     """Every node whose load exceeds its capacity, sorted by node id."""
-    cap = net.capacity
-    return tuple(
-        Overload(v, n, cap[v]) for v, n in sorted(loads.items()) if n > cap[v]
-    )
+    cap = net._capacity
+    over = sorted((v, n) for v, n in loads.items() if n > cap[v])
+    return tuple(Overload(v, n, cap[v]) for v, n in over)
 
 
 def path_load(net: Network, p: Path) -> LoadMap:

@@ -15,6 +15,10 @@ from .model import Network, Path, RouteAssignment, RoutePlan, check_feasible
 DEFAULT_NODE_BUDGET = 10_000_000
 
 
+class InfeasibleStart(ValueError):
+    """A start plan for ``solve_exact`` that is not feasible."""
+
+
 @dataclass(frozen=True)
 class SolveResult:
     plan: RoutePlan
@@ -212,7 +216,10 @@ def solve_exact(
     admissible bound from the remaining copy supply, capped per flow by how
     many copies the residual capacity at its endpoints could still carry.
     ``start``, a feasible plan that routes every required flow, is the
-    first incumbent, so the bound prunes against it from the root.  The
+    first incumbent, so the bound prunes against it from the root.  A start
+    that is not feasible raises ``InfeasibleStart``; one that routes a copy
+    the instance does not demand, or misses a required flow, raises a plain
+    ``ValueError``.  The
     root bound is tested before any path is searched, with every flow
     counted as routable; only when it fails to prune does one search per
     flow settle which flows have a path, and only then are the router's
@@ -334,7 +341,7 @@ def _check_start(inst: NcInstance, start: RoutePlan, required: Collection[int]) 
                 f"start does not route required flow {inst.flows[fi].label!r}"
             )
     if not check_feasible(inst.network, start).ok:
-        raise ValueError("start plan is not feasible")
+        raise InfeasibleStart("start plan is not feasible")
 
 
 def solve_greedy(inst: NcInstance) -> SolveResult:

@@ -64,6 +64,24 @@ def naive_simple_paths(nodes, edges, s, t) -> list[tuple[str, ...]]:
     return out
 
 
+def naive_path_fault(nodes, edges, p):
+    """What a validator must report for the node sequence ``p``: None for an
+    elementary path over edges, else (error class name, message, bad hop)
+    of its fault: the first unknown node, else the first node that repeats,
+    else the first hop that is not an edge."""
+    for v in p:
+        if v not in nodes:
+            return ("ValueError", f"unknown node {v!r}", None)
+    for i, v in enumerate(p):
+        if v in p[:i]:
+            return ("PathError", f"node {v!r} repeats", None)
+    edge_set = {edge_key(u, v) for u, v in edges}
+    for u, x in zip(p, p[1:]):
+        if edge_key(u, x) not in edge_set:
+            return ("PathError", f"hop ({u!r}, {x!r}) is not an edge", (u, x))
+    return None
+
+
 def naive_plan_feasible(nodes, edges, caps, paths) -> bool:
     total = {v: 0 for v in nodes}
     for p in paths:

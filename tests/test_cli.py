@@ -365,6 +365,22 @@ class TestMalformedInstance:
         assert err == _MALFORMED_ERRORS[name]
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["solve", "--mode", "exact"], ["check", "--path", "E1,T"]],
+    ids=["solve", "check"],
+)
+def test_deeply_nested_json_exit_2(tmp_path, capsys, command):
+    # The decoder recurses once per level; this ended in a RecursionError
+    # traceback with exit 1.  Raw text, since json.dumps would recurse too.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code = main([command[0], "--instance", str(deep), *command[1:]])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: malformed instance: JSON nested too deeply\n"
+
+
 def _flows_of(name: str, flows: list) -> list:
     return {
         "none": [],
@@ -513,18 +529,28 @@ class TestVerify:
     @pytest.mark.parametrize(
         ("fixture", "args"),
         [
-            ("verify_4_3_3_seed1.json", ["4", "3", "3", "1"]),
-            ("verify_3_7_2_seed2.json", ["3", "7", "2", "2"]),
+            ("verify_4_3_3_seed1.json", ["4", "3", "3", "30", "1"]),
+            ("verify_3_7_2_seed2.json", ["3", "7", "2", "30", "2"]),
+            # Every warm start overloads a literal node and is solved cold;
+            # with main the optimum is 1 < m, and the preloads are feasible.
+            ("verify_3_3_2_seed1_caps_v2_2.json", ["3", "3", "2", "10", "1", "v2=2"]),
+            # The start and the preload plan both overload: the whole
+            # instance is solved without main required.
+            ("verify_3_3_2_seed1_caps_src_0.json", ["3", "3", "2", "10", "1", "src=0"]),
         ],
     )
-    def test_matches_golden_report(self, capsys, fixture, args):
+    def test_matches_golden_report(self, capsys, tmp_path, fixture, args):
         # The fixtures hold reports written before the solver searched paths
-        # on demand; the report must not drift byte for byte.
-        n, m, k, seed = args
+        # on demand, and before it owned the warm start's feasibility check;
+        # the report must not drift byte for byte.
+        n, m, k, trials, seed, *caps = args
         code = main(["verify", "--vars", n, "--clauses", m, "--k", k,
-                     "--trials", "30", "--seed", seed, "--json"])
-        assert code == 0
-        assert capsys.readouterr().out == (FIXTURES / fixture).read_text()
+                     "--trials", trials, "--seed", seed, "--json",
+                     "--witness-dir", str(tmp_path),
+                     *(["--caps", *caps] if caps else [])])
+        golden = (FIXTURES / fixture).read_text()
+        assert code == (0 if json.loads(golden)["ok"] else 1)
+        assert capsys.readouterr().out == golden
 
     def test_corrupted_capacities_fail_audit(self, capsys, tmp_path):
         code = main(

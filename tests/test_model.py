@@ -17,8 +17,9 @@ from satnc import (
     path_load,
     plan_load,
 )
+from satnc.model import validate_path
 from conftest import make_network, path_graph, random_connected_network
-from oracles import pipelined_frame_load
+from oracles import naive_path_fault, pipelined_frame_load
 
 
 def plan_of(net: Network, *paths: tuple[str, ...]) -> RoutePlan:
@@ -237,6 +238,47 @@ def test_oracle_equivalence(net_and_paths):
     net, paths = net_and_paths
     for p in paths:
         assert path_load(net, p) == pipelined_frame_load(net.nodes, net.edges(), p)
+
+
+@st.composite
+def random_net_and_sequence(draw):
+    """A small network and at most 8 node ids: a walk over unvisited
+    neighbours, which is a path, then up to three faults, each an unknown
+    id written over a step, a visited node inserted again, or a jump to an
+    unvisited node (a non-edge unless it happens to be a neighbour)."""
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    net = random_connected_network(rng, draw(st.integers(2, 7)))
+    size = draw(st.integers(0, 8))
+    seq = [draw(st.sampled_from(net.nodes))] if size else []
+    for _ in range(size - 1):
+        fresh = [w for w in sorted(net.adjacency(seq[-1])) if w not in seq]
+        if not fresh:
+            break
+        seq.append(draw(st.sampled_from(fresh)))
+    faults = ("unknown", "repeat", "jump")
+    for fault in draw(st.lists(st.sampled_from(faults), max_size=3)):
+        at = draw(st.integers(0, len(seq)))
+        unvisited = [v for v in net.nodes if v not in seq]
+        if fault == "unknown" and at < len(seq):
+            seq[at] = draw(st.sampled_from(["x0", "x1"]))
+        elif fault == "repeat" and seq and len(seq) < 8:
+            seq.insert(at, draw(st.sampled_from(seq)))
+        elif fault == "jump" and unvisited and at < len(seq):
+            seq[at] = draw(st.sampled_from(unvisited))
+    return net, tuple(seq)
+
+
+@given(random_net_and_sequence())
+@settings(max_examples=400, deadline=None)
+def test_validate_path_matches_naive_reference(case):
+    net, p = case
+    try:
+        validate_path(net, p)
+    except ValueError as exc:
+        got = (type(exc).__name__, str(exc), getattr(exc, "bad_hop", None))
+    else:
+        got = None
+    assert got == naive_path_fault(net.nodes, net.edges(), p)
 
 
 @given(st.integers(0, 5000))

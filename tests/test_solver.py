@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import satnc.harness
+import satnc.solver
 from satnc import (
     FlowRequest,
     Formula,
+    InfeasibleStart,
     RouteAssignment,
     RoutePlan,
     assignment_plan,
@@ -182,14 +184,17 @@ class TestSolveExact:
                 RouteAssignment(long, 0, ("A", "B", "C")),
             )
         )
-        with pytest.raises(ValueError, match="not feasible"):
+        with pytest.raises(InfeasibleStart, match="^start plan is not feasible$"):
             solve_exact(inst, start=overloaded)
         no_long = RoutePlan((RouteAssignment(short, 0, ("A", "B")),))
-        with pytest.raises(ValueError, match="required flow"):
+        with pytest.raises(ValueError, match="required flow") as missing:
             solve_exact(inst, required={1}, start=no_long)
         extra_copy = RoutePlan((RouteAssignment(long, 1, ("A", "B", "C")),))
-        with pytest.raises(ValueError, match="does not demand"):
+        with pytest.raises(ValueError, match="does not demand") as undemanded:
             solve_exact(inst, start=extra_copy)
+        # Only an overloading start is one the caller may drop and solve cold.
+        for shape_error in (missing.value, undemanded.value):
+            assert not isinstance(shape_error, InfeasibleStart)
 
     def test_empty_path_is_no_accepted_copy(self):
         # a-b plus an isolated c: the a->c flow has no route, so the optimum
@@ -322,6 +327,23 @@ class TestRootCertificate:
         monkeypatch.setattr(satnc.harness, "solve_exact", spy)
         assert run_verification(*shape, 10, seed=seed).all_ok
         assert seen == pinned
+
+
+@pytest.mark.parametrize("shape", [(4, 3, 3, 10, 1), (3, 7, 2, 10, 2)])
+def test_one_feasibility_check_per_trial(monkeypatch, shape):
+    # The solver checks the warm start; the harness checks nothing once the
+    # optimum with main reaches m, as it does on every one of these trials.
+    calls = []
+
+    def counting(net, plan):
+        calls.append(plan)
+        return check_feasible(net, plan)
+
+    monkeypatch.setattr(satnc.harness, "check_feasible", counting)
+    monkeypatch.setattr(satnc.solver, "check_feasible", counting)
+    *dims, trials, seed = shape
+    assert run_verification(*dims, trials, seed=seed).all_ok
+    assert len(calls) == trials
 
 
 class TestSolveGreedy:
