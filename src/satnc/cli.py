@@ -16,7 +16,6 @@ from pathlib import Path as FsPath
 from .cnf import EXHAUSTIVE_BOUND, lint_formula, parse_dimacs, true_positions
 from .gadget import (
     CapacityPreset,
-    ClauseUnsatisfied,
     NcInstance,
     assignment_plan,
     classify_path,
@@ -103,10 +102,8 @@ def _check_assignment(inst: NcInstance, raw: str, as_json: bool) -> int:
     unknown = sorted(v for v in assignment if v > formula.var_count)
     if unknown:
         raise ValueError(f"assignment names variables the formula lacks: {unknown}")
-    try:
-        per_clause = [true_positions(c, assignment) for c in formula.clauses]
-    except KeyError as exc:
-        raise ValueError(f"assignment missing variable {exc.args[0]}") from None
+    plan = assignment_plan(inst, assignment)  # refuses a partial assignment
+    per_clause = [true_positions(c, assignment) for c in formula.clauses]
     failed = next((i for i, trues in enumerate(per_clause, 1) if not trues), None)
     if failed is not None:
         if as_json:
@@ -117,25 +114,26 @@ def _check_assignment(inst: NcInstance, raw: str, as_json: bool) -> int:
                 print(f"clause {i}: {state}")
             print(f"verdict: failure at clause {failed}")
         return 1
-    plan = assignment_plan(inst, assignment)
-    path = plan.assignments[-1].path
     verdict = check_feasible(inst.network, plan)
     overloads = [(o.node, o.load, o.capacity) for o in verdict.overloads]
+    detail: dict = {"overloads": overloads}
+    kind = "feasible" if verdict.ok else "overloaded"
+    # A plan path that is not a path of the network (an edited instance) is a
+    # defect whose load was never counted: it is reported, not the overloads.
+    for defect in verdict.defects[:1]:
+        kind = "malformed"
+        flow = plan.assignments[defect.index].flow
+        detail = {"reason": f"{flow.label}: {defect.reason}"}
+    names = [inst.paper_name(v) or v for v in plan.assignments[-1].path]
     if as_json:
-        print(
-            json.dumps(
-                {
-                    "verdict": "feasible" if verdict.ok else "overloaded",
-                    "path": [inst.paper_name(v) or v for v in path],
-                    "overloads": overloads,
-                }
-            )
-        )
+        print(json.dumps({"verdict": kind, "path": names, **detail}))
     else:
         for i, trues in enumerate(per_clause, 1):
             print(f"clause {i}: true at positions {list(trues)}")
-        print("path:", " ".join(inst.paper_name(v) or v for v in path))
-        if verdict.ok:
+        print("path:", " ".join(names))
+        if kind == "malformed":
+            print(f"verdict: malformed ({detail['reason']})")
+        elif verdict.ok:
             print("verdict: feasible (0 overloads)")
         else:
             for node, load, cap in overloads:
@@ -242,21 +240,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "audits_passed": report.audits_passed,
             "max_matches": report.max_matches,
             "ok": report.all_ok,
-            "records": [
-                {
-                    "trial": r.index,
-                    "seed": r.seed,
-                    "satisfiable": r.satisfiable,
-                    "nc_accepted": r.nc_accepted,
-                    "expected_accepted": r.expected_accepted,
-                    "solver_optimal": r.solver_optimal,
-                    "audit_ok": r.audit_ok,
-                    "agree": r.agree,
-                    "max_sat": r.max_sat,
-                    "max_traversable": r.max_traversable,
-                }
-                for r in report.records
-            ],
+            "records": [r.summary() for r in report.records],
         }
         print(json.dumps(payload, indent=2))
     else:
@@ -379,9 +363,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ClauseUnsatisfied as exc:
-        print(f"failure: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

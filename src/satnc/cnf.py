@@ -57,10 +57,6 @@ class Formula:
             k_bound = max(k_bound, 2)
         return cls(var_count, cl, k_bound)
 
-    @property
-    def clause_count(self) -> int:
-        return len(self.clauses)
-
 
 def parse_dimacs(text: str) -> Formula:
     """Parse standard DIMACS CNF: ``c`` comments, ``p cnf n m`` header,
@@ -124,9 +120,13 @@ def emit_dimacs(f: Formula) -> str:
 
 
 def _require_total(f: Formula, a: Assignment) -> None:
-    missing = [v for v in range(1, f.var_count + 1) if v not in a]
+    # Counted off the assignment, so a total one costs no walk of 1..n.
+    n = f.var_count
+    missing = n - sum(map(range(1, n + 1).__contains__, a))
     if missing:
-        raise ValueError(f"assignment missing variables {missing}")
+        first = itertools.islice((v for v in range(1, n + 1) if v not in a), 5)
+        listed = ", ".join(map(str, first)) + (", ..." if missing > 5 else "")
+        raise ValueError(f"assignment missing {missing} of {n} variables: {listed}")
 
 
 def clause_satisfied(clause: tuple[int, ...], a: Assignment) -> bool:

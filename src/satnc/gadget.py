@@ -170,9 +170,6 @@ class NcInstance:
             return self.paper_to_id[name]
         raise ValueError(f"unknown node name {name!r}")
 
-    def subset_of(self, node_id: str) -> str:
-        return self.info[node_id].subset
-
     def subset_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for info in self.node_table:
@@ -208,9 +205,9 @@ def conflict_pairs(formula: Formula) -> tuple[ConflictPair, ...]:
             bucket = pos if lit > 0 else neg
             bucket.setdefault(abs(lit), []).append((i, j))
     pairs: list[ConflictPair] = []
-    for var in range(1, formula.var_count + 1):
-        for p in pos.get(var, ()):
-            for q in neg.get(var, ()):
+    for var in sorted(pos.keys() & neg.keys()):  # never the header's whole range
+        for p in pos[var]:
+            for q in neg[var]:
                 if p[0] != q[0]:
                     pairs.append(ConflictPair(len(pairs) + 1, p, q))
     return tuple(pairs)

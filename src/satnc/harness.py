@@ -34,6 +34,13 @@ from .model import check_feasible
 from .solver import InfeasibleStart, solve_exact
 
 
+# A trial's fields in the ``verify --json`` report, in order, after its index.
+_REPORTED = (
+    "seed", "satisfiable", "nc_accepted", "expected_accepted", "solver_optimal",
+    "audit_ok", "agree", "max_sat", "max_traversable",
+)
+
+
 @dataclass(frozen=True)
 class TrialRecord:
     index: int
@@ -44,13 +51,17 @@ class TrialRecord:
     satisfiable: bool
     nc_accepted: int
     solver_optimal: bool
-    audit_ok: bool
+    audit_failures: tuple[str, ...]
     max_sat: int
     # The admission optimum with main required, less main; -1 when no plan
     # admits main at all.
     max_traversable: int
     max_match: bool
     witness: dict | None = None
+
+    @property
+    def audit_ok(self) -> bool:
+        return not self.audit_failures
 
     @property
     def expected_accepted(self) -> int:
@@ -61,6 +72,14 @@ class TrialRecord:
         # An uncertified optimum cannot witness agreement; it counts as a
         # failure and the record says why via solver_optimal.
         return self.solver_optimal and self.nc_accepted == self.expected_accepted
+
+    @property
+    def ok(self) -> bool:
+        return self.agree and self.max_match and self.audit_ok
+
+    def summary(self) -> dict:
+        """The trial's record in the ``verify --json`` report."""
+        return {"trial": self.index, **{f: getattr(self, f) for f in _REPORTED}}
 
 
 @dataclass(frozen=True)
@@ -85,7 +104,7 @@ class VerificationReport:
 
     @property
     def all_ok(self) -> bool:
-        return all(r.agree and r.audit_ok and r.max_match for r in self.records)
+        return all(r.ok for r in self.records)
 
     @property
     def exit_status(self) -> int:
@@ -148,27 +167,19 @@ def run_verification(
             satisfiable=satisfiable,
             nc_accepted=nc_accepted,
             solver_optimal=optimal,
-            audit_ok=report.ok,
+            audit_failures=report.failures,
             max_sat=max_sat,
             max_traversable=max_traversable,
             # An uncertified optimum cannot witness a match either.
             max_match=with_main.optimal and max_traversable == max_sat,
         )
-        if not (record.agree and record.max_match and record.audit_ok):
-            record = replace(
-                record,
-                witness={
-                    "trial": index,
-                    "seed": trial_seed,
-                    "satisfiable": satisfiable,
-                    "nc_accepted": nc_accepted,
-                    "expected_accepted": record.expected_accepted,
-                    "solver_optimal": optimal,
-                    "max_sat": max_sat,
-                    "max_traversable": max_traversable,
-                    "audit_failures": list(report.failures),
-                    "instance": instance_to_dict(inst),
-                },
-            )
+        # A failing trial's witness: its summary less audit_ok and agree, plus
+        # the audit failures and the instance.
+        if not record.ok:
+            witness = record.summary()
+            del witness["audit_ok"], witness["agree"]
+            witness["audit_failures"] = list(record.audit_failures)
+            witness["instance"] = instance_to_dict(inst)
+            record = replace(record, witness=witness)
         records.append(record)
     return VerificationReport(tuple(records))

@@ -226,9 +226,9 @@ def validate_path(net: Network, p: Path) -> None:
     """Raise unless ``p`` is an elementary path over edges of ``net``.
 
     A well-formed path passes three whole-path scans: every node known, no
-    node repeated, every hop an edge.  Any other path takes one walk: an
-    unknown node raises ValueError at once; otherwise the first repeated
-    node, else the first hop that is not an edge, raises PathError.
+    node repeated, every hop an edge.  Any other path meets them in order:
+    the first unknown node raises ValueError; else the first repeated node,
+    else the first hop that is not an edge, raises PathError.
     """
     sets = list(map(net._tx.get, p))
     # A hop (u, x) is an edge when x is in u's transmit tuple and x != u,
@@ -239,21 +239,16 @@ def validate_path(net: Network, p: Path) -> None:
         and all(map(tuple.__contains__, sets, p[1:]))
     ):
         return
-    seen: set[str] = set()
-    repeat: str | None = None
-    bad_hop: Hop | None = None
-    for i, v in enumerate(p):
+    for v in p:
         net._require(v)
-        if repeat is None and v in seen:
-            repeat = v
+    seen: set[str] = set()
+    for v in p:
+        if v in seen:
+            raise PathError(f"node {v!r} repeats")
         seen.add(v)
-        if i and bad_hop is None and not net.has_edge(p[i - 1], v):
-            bad_hop = (p[i - 1], v)
-    if repeat is not None:
-        raise PathError(f"node {repeat!r} repeats")
-    if bad_hop is not None:
-        u, x = bad_hop
-        raise PathError(f"hop ({u!r}, {x!r}) is not an edge", bad_hop)
+    for u, x in zip(p, p[1:]):
+        if not net.has_edge(u, x):
+            raise PathError(f"hop ({u!r}, {x!r}) is not an edge", (u, x))
 
 
 def hops_load(net: Network, hops: Iterable[Hop]) -> LoadMap:

@@ -68,35 +68,35 @@ class _Router:
             for v in tx[u]:
                 room[v] += n
 
-    def _hops(self, t: int) -> list[int]:
-        """Hops to ``t`` from every node; ``len(adj)``, more than any path
-        has, from nodes that cannot reach it."""
-        adj = self.adj
-        far = len(adj)
-        dist = [far] * far
+    def _spread(self, dist: list[int], t: int) -> list[int]:
+        """Breadth first from ``t`` over the nodes ``dist`` marks unreached
+        (``len(adj)``): set their hops to ``t``, return them as reached."""
+        adj, far = self.adj, len(self.adj)
         dist[t] = 0
         queue = [t]
-        for u in queue:  # breadth first; the queue grows as it is read
+        for u in queue:  # the queue grows as it is read
             for w in adj[u]:
                 if dist[w] == far:
                     dist[w] = dist[u] + 1
                     queue.append(w)
+        return queue
+
+    def _hops(self, t: int) -> list[int]:
+        """Hops to ``t`` from every node; ``len(adj)``, more than any path
+        has, from nodes that cannot reach it."""
+        dist = [len(self.adj)] * len(self.adj)
+        self._spread(dist, t)
         return dist
 
     @functools.cached_property
     def component(self) -> list[int]:
         """A connected-component label per node; the graph is walked once."""
-        adj = self.adj
-        label = [-1] * len(adj)
-        for root in range(len(adj)):
-            if label[root] < 0:
-                label[root] = root
-                queue = [root]
-                for u in queue:
-                    for w in adj[u]:
-                        if label[w] < 0:
-                            label[w] = root
-                            queue.append(w)
+        far = len(self.adj)
+        label = [far] * far  # each spread's hop counts give way to its root
+        for root in range(far):
+            if label[root] == far:
+                for v in self._spread(label, root):
+                    label[v] = root
         return label
 
     def paths(

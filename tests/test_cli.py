@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from satnc import (
     FlowRequest,
     Formula,
     Network,
+    audit,
     compile_formula,
     dumps_instance,
     instance_to_dict,
@@ -96,6 +98,18 @@ class TestCompile:
         assert dot.read_bytes() == (FIXTURES / f"{stem}.dot").read_bytes()
         assert dumps_instance(load_instance(out)).encode() == golden
 
+    def test_work_not_sized_by_header_variable_count(self, tmp_path, capsys):
+        # One two-literal clause under a header declaring 10**8 variables: an
+        # 11-node instance, compiled and audited in well under a second (a
+        # walk over every declared variable took about 11 s).
+        cnf, out = tmp_path / "wide.cnf", tmp_path / "wide.json"
+        cnf.write_text("p cnf 100000000 1\n1 -2 0\n")
+        started = time.perf_counter()
+        assert main(["compile", "--cnf", str(cnf), "--out", str(out)]) == 0
+        assert audit(load_instance(out)).ok
+        assert time.perf_counter() - started < 3
+        assert "11 nodes" in capsys.readouterr().out
+
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cnf"
         bad.write_text("p cnf 2 1\n3 0\n")
@@ -155,6 +169,37 @@ class TestCheck:
         )
         payload = json.loads(capsys.readouterr().out)
         assert code == 0 and payload["verdict"] == "feasible"
+
+    def test_plan_over_a_removed_edge_malformed(self, compiled, capsys):
+        # Preload 1's one-hop path A1 -> B1 is no path once the edge is gone:
+        # a defect of the plan, not an overload.
+        data = json.loads(compiled.read_text())
+        data["edges"].remove(["A1", "B1"])
+        compiled.write_text(json.dumps(data))
+        argv = ["check", "--instance", str(compiled), "--assignment", A1_LITERALS]
+        reason = "preload-1: hop ('A1', 'B1') is not an edge"
+        assert main(argv) == 1
+        assert capsys.readouterr().out.endswith(f"verdict: malformed ({reason})\n")
+        assert main([*argv, "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["verdict"], payload["reason"]) == ("malformed", reason)
+        assert "overloads" not in payload
+
+    @pytest.mark.parametrize("literals", ["1 2", "-1 2"])
+    def test_partial_assignment_exit_2(self, tmp_path, capsys, literals):
+        # Exit 2 whether or not a clause fails, with the count and the first
+        # few missing variables: not all of the 99,999,998.
+        cnf, out = tmp_path / "wide.cnf", tmp_path / "wide.json"
+        cnf.write_text("p cnf 100000000 1\n1 -2 0\n")
+        assert main(["compile", "--cnf", str(cnf), "--out", str(out)]) == 0
+        capsys.readouterr()
+        code = main(["check", "--instance", str(out), "--assignment", literals])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "error: assignment missing 99999998 of 100000000 variables: "
+            "3, 4, 5, 6, 7, ...\n"
+        )
 
     def test_variable_outside_formula_exit_2(self, compiled, capsys):
         code = main(
@@ -551,6 +596,21 @@ class TestVerify:
         golden = (FIXTURES / fixture).read_text()
         assert code == (0 if json.loads(golden)["ok"] else 1)
         assert capsys.readouterr().out == golden
+
+    @pytest.mark.parametrize("caps", ["v4=5", "src=0"])
+    def test_matches_golden_witnesses(self, capsys, tmp_path, caps):
+        # Every trial fails under these overrides, so each writes a witness:
+        # the trial's record fields, its audit failures and its instance.
+        code = main(["verify", "--vars", "3", "--clauses", "3", "--k", "2",
+                     "--trials", "4", "--seed", "1", "--json", "--caps", caps,
+                     "--witness-dir", str(tmp_path)])
+        assert code == 1
+        golden = FIXTURES / f"witness_caps_{caps.replace('=', '_')}"
+        names = sorted(p.name for p in golden.iterdir())
+        assert names == [f"witness-trial-{i:03d}.json" for i in range(4)]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (golden / name).read_bytes()
 
     def test_corrupted_capacities_fail_audit(self, capsys, tmp_path):
         code = main(
