@@ -23,7 +23,7 @@ from .gadget import (
 )
 from .harness import run_verification
 from .instance_io import load_instance, save_instance, to_dot
-from .model import RoutePlan, check_feasible, plan_load
+from .model import FeasibilityVerdict, RoutePlan, check_feasible, plan_load
 from .solver import DEFAULT_NODE_BUDGET, inapprox_bound, solve_exact, solve_greedy
 
 _CAP_FIELDS = {
@@ -115,64 +115,59 @@ def _check_assignment(inst: NcInstance, raw: str, as_json: bool) -> int:
             print(f"verdict: failure at clause {failed}")
         return 1
     verdict = check_feasible(inst.network, plan)
-    overloads = [(o.node, o.load, o.capacity) for o in verdict.overloads]
-    detail: dict = {"overloads": overloads}
-    kind = "feasible" if verdict.ok else "overloaded"
+    detail: dict = {"overloads": verdict.overloads}
     # A plan path that is not a path of the network (an edited instance) is a
     # defect whose load was never counted: it is reported, not the overloads.
     for defect in verdict.defects[:1]:
-        kind = "malformed"
         flow = plan.assignments[defect.index].flow
         detail = {"reason": f"{flow.label}: {defect.reason}"}
     names = [inst.paper_name(v) or v for v in plan.assignments[-1].path]
     if as_json:
-        print(json.dumps({"verdict": kind, "path": names, **detail}))
+        print(json.dumps({"verdict": verdict.kind, "path": names, **detail}))
     else:
         for i, trues in enumerate(per_clause, 1):
             print(f"clause {i}: true at positions {list(trues)}")
         print("path:", " ".join(names))
-        if kind == "malformed":
-            print(f"verdict: malformed ({detail['reason']})")
-        elif verdict.ok:
-            print("verdict: feasible (0 overloads)")
-        else:
-            for node, load, cap in overloads:
-                print(f"overload: {node} load {load} > capacity {cap}")
-            print("verdict: overloaded")
+        _print_verdict(verdict, detail.get("reason"), " (0 overloads)")
     return 0 if verdict.ok else 1
+
+
+def _print_verdict(
+    verdict: FeasibilityVerdict, reason: str | None, feasible: str = ""
+) -> None:
+    """A verdict's closing text: feasible, malformed for ``reason``, or each
+    overload."""
+    if verdict.ok:
+        print(f"verdict: feasible{feasible}")
+    elif verdict.defects:
+        print(f"verdict: malformed ({reason})")
+    else:
+        for o in verdict.overloads:
+            print(f"overload: {o.node} load {o.load} > capacity {o.capacity}")
+        print("verdict: overloaded")
 
 
 def _check_path(inst: NcInstance, raw: str, as_json: bool) -> int:
     path = _parse_node_list(inst, raw)
-    result = classify_path(inst, path)
+    verdict = classify_path(inst, path)
+    payload: dict = {"verdict": verdict.kind}
+    text = None
+    for defect in verdict.defects[:1]:
+        text = reason = defect.reason
+        if defect.index < len(inst.flows) - 1:  # a preload the route assumes
+            text = reason = f"{inst.flows[defect.index].label}: {reason}"
+        elif defect.bad_hop:  # the route's own bad hop, by paper name in text
+            payload["bad_hop"] = list(defect.bad_hop)
+            u, x = (inst.paper_name(v) or v for v in defect.bad_hop)
+            text = f"hop {u} -> {x} is not an edge"
+        payload["reason"] = reason
+    if verdict.kind == "overloaded":
+        payload["overloads"] = verdict.overloads
     if as_json:
-        payload: dict = {"verdict": result.kind}
-        if result.bad_hop:
-            payload["bad_hop"] = list(result.bad_hop)
-        if result.reason:
-            payload["reason"] = result.reason
-        if result.overloads:
-            payload["overloads"] = [
-                (o.node, o.load, o.capacity) for o in result.overloads
-            ]
         print(json.dumps(payload))
     else:
-        if result.kind == "malformed":
-            detail = result.reason
-            if result.bad_hop:
-                u, x = result.bad_hop
-                detail = (
-                    f"hop {inst.paper_name(u) or u} -> {inst.paper_name(x) or x} "
-                    "is not an edge"
-                )
-            print(f"verdict: malformed ({detail})")
-        elif result.kind == "overloaded":
-            for o in result.overloads:
-                print(f"overload: {o.node} load {o.load} > capacity {o.capacity}")
-            print("verdict: overloaded")
-        else:
-            print("verdict: feasible")
-    return 0 if result.kind == "feasible" else 1
+        _print_verdict(verdict, text)
+    return 0 if verdict.ok else 1
 
 
 def cmd_check(args: argparse.Namespace) -> int:

@@ -18,16 +18,15 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .cnf import Assignment, Formula, _require_total, clause_true_sets, true_positions
 from .model import (
+    FeasibilityVerdict,
     FlowRequest,
-    Hop,
     Network,
-    Overload,
     Path,
+    PathDefect,
     PathError,
     RouteAssignment,
     RoutePlan,
-    hops_load,
-    overloaded_nodes,
+    check_feasible,
     validate_path,
 )
 
@@ -184,10 +183,6 @@ class NcInstance:
             for clause in (pair.pos[0], pair.neg[0]):
                 index.setdefault(clause, []).append(pair)
         return {i: tuple(pairs) for i, pairs in index.items()}
-
-    @property
-    def clause_count(self) -> int:
-        return len(_require_compiled(self).clauses)
 
 
 def plain_instance(network: Network, flows: Iterable[FlowRequest]) -> NcInstance:
@@ -370,32 +365,27 @@ def assignment_plan(inst: NcInstance, a: Assignment) -> RoutePlan:
     return RoutePlan(tuple(routed))
 
 
-@dataclass(frozen=True)
-class PathClassification:
-    kind: str  # "feasible" | "overloaded" | "malformed"
-    bad_hop: Hop | None = None
-    reason: str = ""
-    overloads: tuple[Overload, ...] = ()
+def classify_path(inst: NcInstance, p: Path) -> FeasibilityVerdict:
+    """Judge a candidate main-flow path with all preloads routed.
 
-
-def classify_path(inst: NcInstance, p: Path) -> PathClassification:
-    """Judge a candidate main-flow path with all preloads routed."""
-    preloads = preload_plan(inst)
+    The route's own faults come first: its first bad hop or repeat, then
+    endpoints other than E1 and T, each a defect at main's plan index.
+    Otherwise the whole plan, preloads included, is judged by
+    ``check_feasible``.
+    """
+    preloads = preload_plan(inst).assignments
+    main = inst.flows[-1]
     try:
         validate_path(inst.network, p)
     except PathError as exc:
-        return PathClassification("malformed", exc.bad_hop, str(exc))
-    main = inst.flows[-1]
-    if p[:1] + p[-1:] != (main.src, main.dst):
-        return PathClassification(
-            "malformed",
-            reason=f"path does not run from {main.src!r} to {main.dst!r}",
-        )
-    hops = (hop for q in [*preloads.paths(), p] for hop in zip(q, q[1:]))
-    overloads = overloaded_nodes(inst.network, hops_load(inst.network, hops))
-    if overloads:
-        return PathClassification("overloaded", overloads=overloads)
-    return PathClassification("feasible")
+        defect = PathDefect(len(preloads), str(exc), exc.bad_hop)
+    else:
+        if p[:1] + p[-1:] == (main.src, main.dst):
+            plan = RoutePlan((*preloads, RouteAssignment(main, 0, p)))
+            return check_feasible(inst.network, plan)
+        reason = f"path does not run from {main.src!r} to {main.dst!r}"
+        defect = PathDefect(len(preloads), reason)
+    return FeasibilityVerdict(defects=(defect,))
 
 
 @dataclass(frozen=True)

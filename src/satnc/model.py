@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 Path = tuple[str, ...]
 Hop = tuple[str, str]
@@ -174,8 +174,7 @@ class RoutePlan:
         return len(self.assignments)
 
 
-@dataclass(frozen=True)
-class Overload:
+class Overload(NamedTuple):
     node: str
     load: int
     capacity: int
@@ -183,8 +182,9 @@ class Overload:
 
 @dataclass(frozen=True)
 class PathDefect:
-    index: int
+    index: int  # of the path in its plan
     reason: str
+    bad_hop: Hop | None = None  # the PathError's hop, if the fault is one
 
 
 @dataclass(frozen=True)
@@ -195,6 +195,14 @@ class FeasibilityVerdict:
     @property
     def ok(self) -> bool:
         return not self.overloads and not self.defects
+
+    @property
+    def kind(self) -> str:
+        """The first that holds of malformed, overloaded and feasible: a
+        malformed path's load was never counted, so it outranks overloads."""
+        if self.defects:
+            return "malformed"
+        return "overloaded" if self.overloads else "feasible"
 
 
 class PathError(ValueError):
@@ -264,13 +272,6 @@ def hops_load(net: Network, hops: Iterable[Hop]) -> LoadMap:
     return loads
 
 
-def overloaded_nodes(net: Network, loads: Mapping[str, int]) -> tuple[Overload, ...]:
-    """Every node whose load exceeds its capacity, sorted by node id."""
-    cap = net._capacity
-    over = sorted((v, n) for v, n in loads.items() if n > cap[v])
-    return tuple(Overload(v, n, cap[v]) for v, n in over)
-
-
 def path_load(net: Network, p: Path) -> LoadMap:
     """Per-node load of routing one flow copy along ``p``.
 
@@ -294,8 +295,10 @@ def plan_load(net: Network, plan: RoutePlan) -> LoadMap:
 
 
 def check_feasible(net: Network, plan: RoutePlan) -> FeasibilityVerdict:
-    """Verdict on a plan: OK, or every overloaded node and malformed path.
+    """Verdict on a plan: OK, or every malformed path and every overloaded
+    node, the overloads sorted by node id.
 
+    This is the one place a plan's loads are turned into overloads.
     Malformedness is reported, not raised, so callers can classify paths
     that are not even edge-consistent.  Loads are accumulated over the
     well-formed paths only.
@@ -306,8 +309,10 @@ def check_feasible(net: Network, plan: RoutePlan) -> FeasibilityVerdict:
         try:
             validate_path(net, p)
         except ValueError as exc:
-            defects.append(PathDefect(idx, str(exc)))
+            defects.append(PathDefect(idx, str(exc), getattr(exc, "bad_hop", None)))
             continue
         hops.extend(zip(p, p[1:]))
-    overloads = overloaded_nodes(net, hops_load(net, hops))
+    cap = net._capacity
+    over = sorted((v, n) for v, n in hops_load(net, hops).items() if n > cap[v])
+    overloads = tuple(Overload(v, n, cap[v]) for v, n in over)
     return FeasibilityVerdict(overloads, tuple(defects))

@@ -98,7 +98,7 @@ def test_criterion_2_negative_fixture(worked_instance):
     path = tuple(worked_instance.resolve_node(n) for n in raw)
     result = classify_path(worked_instance, path)
     assert result.kind == "malformed"
-    bad = tuple(worked_instance.paper_name(v) for v in result.bad_hop)
+    bad = tuple(worked_instance.paper_name(v) for v in result.defects[0].bad_hop)
     assert bad == ("n_4^2", "n_8^3")
 
     elapsed = time.perf_counter() - started

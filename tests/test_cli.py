@@ -24,13 +24,17 @@ from satnc import (
     FlowRequest,
     Formula,
     Network,
+    all_assignments,
+    assignment_plan,
     audit,
     compile_formula,
     dumps_instance,
+    eval_formula,
     instance_to_dict,
     load_instance,
     max_sat_brute,
     plain_instance,
+    random_formula,
     save_instance,
 )
 from satnc.cli import build_parser, main
@@ -38,6 +42,8 @@ from conftest import BROKEN_PATH_RAW, FIXTURES, WORKED_CLAUSES
 
 A1_LITERALS = "1 2 3 -4 -5 -6"
 A2_LITERALS = "1 2 3 4 -5 -6"
+# The main route A1_LITERALS induces on the worked example.
+A1_ROUTE = "E1,P1.1,L1.1,L1.2,L1.3,Q1.3,X1,E2,P2.2,L2.2,Q2.2,X2,E3,P3.4,L3.4,Q3.4,X3,T"
 
 
 @pytest.fixture()
@@ -170,13 +176,19 @@ class TestCheck:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0 and payload["verdict"] == "feasible"
 
-    def test_plan_over_a_removed_edge_malformed(self, compiled, capsys):
+    @pytest.mark.parametrize(
+        "plan",
+        [["--assignment", A1_LITERALS], ["--path", A1_ROUTE]],
+        ids=["assignment", "path"],
+    )
+    def test_plan_over_a_removed_edge_malformed(self, compiled, capsys, plan):
         # Preload 1's one-hop path A1 -> B1 is no path once the edge is gone:
-        # a defect of the plan, not an overload.
+        # a defect of the plan, not an overload, whether the plan comes from
+        # an assignment or from a main route that assumes every preload.
         data = json.loads(compiled.read_text())
         data["edges"].remove(["A1", "B1"])
         compiled.write_text(json.dumps(data))
-        argv = ["check", "--instance", str(compiled), "--assignment", A1_LITERALS]
+        argv = ["check", "--instance", str(compiled), *plan]
         reason = "preload-1: hop ('A1', 'B1') is not an edge"
         assert main(argv) == 1
         assert capsys.readouterr().out.endswith(f"verdict: malformed ({reason})\n")
@@ -208,6 +220,42 @@ class TestCheck:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error:") and "[99]" in captured.err
+
+
+@given(
+    st.integers(2, 3),
+    st.integers(1, 4),
+    st.integers(0, 10_000),
+    st.data(),
+)
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_check_modes_agree(tmp_path, capsys, var_count, clause_count, seed, data):
+    # Every satisfying assignment's plan is its main route plus all m
+    # preloads, the plan `check --path` assumes for that route: both modes
+    # must give one verdict, also once any edge is gone (a preload, chain,
+    # clique, bypass or conflict edge).
+    formula = random_formula(var_count, clause_count, 2, seed)
+    inst = compile_formula(formula)
+    intact = instance_to_dict(inst)
+    edited = instance_to_dict(inst)
+    edited["edges"].remove(data.draw(st.sampled_from(intact["edges"])))
+    for name, payload in [("intact", intact), ("edited", edited)]:
+        file = tmp_path / f"{name}.json"
+        file.write_text(json.dumps(payload))
+        for a in all_assignments(var_count):
+            if eval_formula(formula, a) < clause_count:
+                continue
+            literals = " ".join(str(v if a[v] else -v) for v in sorted(a))
+            route = ",".join(assignment_plan(inst, a).assignments[-1].path)
+            runs = []
+            for plan in (["--assignment", literals], ["--path", route]):
+                code = main(["check", "--instance", str(file), *plan, "--json"])
+                runs.append((code, json.loads(capsys.readouterr().out)["verdict"]))
+            assert runs[0] == runs[1], (name, literals)
 
 
 _GOLDEN = json.loads((FIXTURES / "cli_check_solve.json").read_text(encoding="utf-8"))

@@ -43,7 +43,7 @@ def paper_names(inst, path):
 def segments(inst, path):
     """Split a main path into per-clause entry..exit runs."""
     out = []
-    for i in range(1, inst.clause_count + 1):
+    for i in range(1, len(inst.formula.clauses) + 1):
         start = path.index(f"E{i}")
         end = path.index(f"X{i}")
         out.append(path[start : end + 1])
@@ -265,7 +265,7 @@ class TestClassifyPath:
         path = tuple(worked_instance.resolve_node(name) for name in raw)
         result = classify_path(worked_instance, path)
         assert result.kind == "malformed"
-        assert result.bad_hop == ("X2", "P3.2")
+        assert result.defects[0].bad_hop == ("X2", "P3.2")
 
     def test_canonical_path_feasible(self, worked_instance):
         path = assignment_to_path(worked_instance, A1)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from satnc import (
     FlowRequest,
     Network,
+    PathDefect,
     RouteAssignment,
     RoutePlan,
     check_feasible,
@@ -279,6 +280,10 @@ def test_validate_path_matches_naive_reference(case):
     else:
         got = None
     assert got == naive_path_fault(net.nodes, net.edges(), p)
+    # check_feasible reports the same fault, with its bad hop, as a defect.
+    if len(p) >= 2 and p[0] != p[-1]:
+        defects = check_feasible(net, plan_of(net, p)).defects
+        assert defects == (() if got is None else (PathDefect(0, *got[1:]),))
 
 
 @given(st.integers(0, 5000))
