@@ -115,12 +115,8 @@ def _check_assignment(inst: NcInstance, raw: str, as_json: bool) -> int:
             print(f"verdict: failure at clause {failed}")
         return 1
     verdict = check_feasible(inst.network, plan)
-    detail: dict = {"overloads": verdict.overloads}
-    # A plan path that is not a path of the network (an edited instance) is a
-    # defect whose load was never counted: it is reported, not the overloads.
-    for defect in verdict.defects[:1]:
-        flow = plan.assignments[defect.index].flow
-        detail = {"reason": f"{flow.label}: {defect.reason}"}
+    # A path that is no path of the network was never loaded: name it instead.
+    detail = _defect_detail(inst, verdict) or {"overloads": verdict.overloads}
     names = [inst.paper_name(v) or v for v in plan.assignments[-1].path]
     if as_json:
         print(json.dumps({"verdict": verdict.kind, "path": names, **detail}))
@@ -128,18 +124,33 @@ def _check_assignment(inst: NcInstance, raw: str, as_json: bool) -> int:
         for i, trues in enumerate(per_clause, 1):
             print(f"clause {i}: true at positions {list(trues)}")
         print("path:", " ".join(names))
-        _print_verdict(verdict, detail.get("reason"), " (0 overloads)")
+        _print_verdict(inst, verdict, detail, " (0 overloads)")
     return 0 if verdict.ok else 1
 
 
+def _defect_detail(inst: NcInstance, verdict: FeasibilityVerdict) -> dict:
+    """The first defect of a plan of the preloads then main, as JSON: a
+    preload's under its flow label, main's bad hop as ``bad_hop``."""
+    for defect in verdict.defects[:1]:
+        if defect.index < len(inst.flows) - 1:
+            return {"reason": f"{inst.flows[defect.index].label}: {defect.reason}"}
+        hop = {"bad_hop": list(defect.bad_hop)} if defect.bad_hop else {}
+        return {**hop, "reason": defect.reason}
+    return {}
+
+
 def _print_verdict(
-    verdict: FeasibilityVerdict, reason: str | None, feasible: str = ""
+    inst: NcInstance, verdict: FeasibilityVerdict, detail: dict, feasible: str = ""
 ) -> None:
-    """A verdict's closing text: feasible, malformed for ``reason``, or each
-    overload."""
+    """A verdict's closing text: feasible, malformed for the reason in
+    ``detail`` (a bad hop of main by paper names), or each overload."""
     if verdict.ok:
         print(f"verdict: feasible{feasible}")
     elif verdict.defects:
+        reason = detail["reason"]
+        if "bad_hop" in detail:
+            u, x = (inst.paper_name(v) or v for v in detail["bad_hop"])
+            reason = f"hop {u} -> {x} is not an edge"
         print(f"verdict: malformed ({reason})")
     else:
         for o in verdict.overloads:
@@ -150,23 +161,13 @@ def _print_verdict(
 def _check_path(inst: NcInstance, raw: str, as_json: bool) -> int:
     path = _parse_node_list(inst, raw)
     verdict = classify_path(inst, path)
-    payload: dict = {"verdict": verdict.kind}
-    text = None
-    for defect in verdict.defects[:1]:
-        text = reason = defect.reason
-        if defect.index < len(inst.flows) - 1:  # a preload the route assumes
-            text = reason = f"{inst.flows[defect.index].label}: {reason}"
-        elif defect.bad_hop:  # the route's own bad hop, by paper name in text
-            payload["bad_hop"] = list(defect.bad_hop)
-            u, x = (inst.paper_name(v) or v for v in defect.bad_hop)
-            text = f"hop {u} -> {x} is not an edge"
-        payload["reason"] = reason
+    detail = _defect_detail(inst, verdict)
     if verdict.kind == "overloaded":
-        payload["overloads"] = verdict.overloads
+        detail["overloads"] = verdict.overloads
     if as_json:
-        print(json.dumps(payload))
+        print(json.dumps({"verdict": verdict.kind, **detail}))
     else:
-        _print_verdict(verdict, text)
+        _print_verdict(inst, verdict, detail)
     return 0 if verdict.ok else 1
 
 
@@ -345,7 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bound", help="print the hardness constant for width k")
+    p = sub.add_parser(
+        "bound", help="print the hardness constant for width k, main flow required"
+    )
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bound)

@@ -237,12 +237,6 @@ def max_sat_brute(f: Formula) -> tuple[int, Assignment]:
     return best_count, _unpack(f, best_packed)
 
 
-def all_assignments(var_count: int):
-    """All total assignments in lexicographic order (false < true)."""
-    for bits in itertools.product((False, True), repeat=var_count):
-        yield dict(zip(range(1, var_count + 1), bits))
-
-
 def random_formula(n: int, m: int, k: int, seed: int) -> Formula:
     """m random clauses of exactly k distinct variables, uniform polarities."""
     if k < 2:

@@ -91,14 +91,6 @@ class ConflictPair(NamedTuple):
     neg: tuple[int, int]
 
 
-class ClauseUnsatisfied(Exception):
-    """Raised when an assignment leaves a clause with no true literal."""
-
-    def __init__(self, clause: int):
-        super().__init__(f"clause {clause} has no true literal")
-        self.clause = clause
-
-
 class AssignmentContradiction(ValueError):
     """A path visits complementary literal occurrences of one variable."""
 
@@ -292,21 +284,6 @@ def clause_segment(i: int, positions: Iterable[int]) -> list[str]:
     nodes.append(postlit_id(i, pos[-1]))
     nodes.append(exit_id(i))
     return nodes
-
-
-def assignment_to_path(inst: NcInstance, a: Assignment) -> Path:
-    """Canonical main-flow path induced by a total assignment.
-
-    Each clause is crossed through every literal the assignment makes
-    true; raises ClauseUnsatisfied on the first clause with none.
-    """
-    plan = assignment_plan(inst, a)
-    # The plan routes preload i exactly when clause i is satisfied, so the
-    # first flow it skips names the first unsatisfied clause.
-    for i, (flow, routed) in enumerate(zip(inst.flows, plan.assignments), 1):
-        if routed.flow != flow:
-            raise ClauseUnsatisfied(i)
-    return plan.assignments[-1].path
 
 
 def path_to_assignment(inst: NcInstance, p: Path) -> Assignment:

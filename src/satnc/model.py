@@ -214,17 +214,6 @@ class PathError(ValueError):
         self.bad_hop = bad_hop
 
 
-def interference_set(net: Network, hop: Hop) -> frozenset[str]:
-    """All nodes whose slot budget a transmission over ``hop`` consumes.
-
-    That is the transmitter, its whole neighborhood and the receiver (the
-    receiver is adjacent to the transmitter, so it is already covered by
-    the neighborhood).
-    """
-    validate_path(net, hop)
-    return frozenset(net.transmit_sets[hop[0]])
-
-
 def is_elementary(p: Path) -> bool:
     """True iff no node repeats along the path."""
     return len(set(p)) == len(p)
@@ -269,18 +258,6 @@ def hops_load(net: Network, hops: Iterable[Hop]) -> LoadMap:
     for u, _ in hops:
         for w in tx[u]:
             loads[w] = loads.get(w, 0) + 1
-    return loads
-
-
-def path_load(net: Network, p: Path) -> LoadMap:
-    """Per-node load of routing one flow copy along ``p``.
-
-    A node is charged once per hop whose interference set contains it; a
-    path of zero or one nodes carries no hops and loads nothing.
-    """
-    validate_path(net, p)
-    loads = dict.fromkeys(net.nodes, 0)
-    loads.update(hops_load(net, zip(p, p[1:])))
     return loads
 
 

@@ -24,6 +24,12 @@ BROKEN_PATH_RAW = (
 )
 
 
+def omitted_preloads(inst, plan) -> list[str]:
+    """Labels of the preloads a plan leaves out, in clause order."""
+    routed = {a.flow for a in plan.assignments}
+    return [f.label for f in inst.flows[:-1] if f not in routed]
+
+
 def path_graph(names: str | list[str], cap: int = 10) -> Network:
     nodes = list(names)
     edges = list(zip(nodes, nodes[1:]))

@@ -15,11 +15,10 @@ import pytest
 
 from satnc import (
     CapacityPreset,
-    ClauseUnsatisfied,
     FlowRequest,
     RouteAssignment,
     RoutePlan,
-    assignment_to_path,
+    assignment_plan,
     audit,
     check_feasible,
     classify_path,
@@ -30,7 +29,6 @@ from satnc import (
     load_instance,
     loads_instance,
     parse_dimacs,
-    path_load,
     plain_instance,
     preload_plan,
     solve_exact,
@@ -38,11 +36,13 @@ from satnc import (
 )
 from satnc.cli import main
 from satnc.harness import run_verification
+from satnc.model import hops_load
 from conftest import (
     A1,
     A2,
     BROKEN_PATH_RAW,
     FIXTURES,
+    omitted_preloads,
     random_connected_network,
 )
 from oracles import naive_best_accept, pipelined_frame_load
@@ -67,7 +67,7 @@ def test_criterion_1_worked_example_fixture(worked_instance):
     assert counts["V4"] == 3
     assert counts["V5"] == 6
 
-    path = assignment_to_path(worked_instance, A1)
+    path = assignment_plan(worked_instance, A1).assignments[-1].path
     names = [worked_instance.paper_name(v) or v for v in path]
     seg1 = names[names.index("n_1^1") : names.index("n_4^1") + 1]
     seg2 = names[names.index("n_1^2") : names.index("n_4^2") + 1]
@@ -90,9 +90,9 @@ def test_criterion_1_worked_example_fixture(worked_instance):
 
 def test_criterion_2_negative_fixture(worked_instance):
     started = time.perf_counter()
-    with pytest.raises(ClauseUnsatisfied) as exc:
-        assignment_to_path(worked_instance, A2)
-    assert exc.value.clause == 3
+    # A2 falsifies clause 3 alone, so its plan leaves out preload 3 alone.
+    plan = assignment_plan(worked_instance, A2)
+    assert omitted_preloads(worked_instance, plan) == ["preload-3"]
 
     raw = BROKEN_PATH_RAW.split()
     path = tuple(worked_instance.resolve_node(n) for n in raw)
@@ -174,7 +174,8 @@ def test_criterion_7_model_oracle():
                 break
             trail.append(rng.choice(options))
         p = tuple(trail)
-        assert path_load(net, p) == pipelined_frame_load(net.nodes, net.edges(), p)
+        loads = dict.fromkeys(net.nodes, 0) | hops_load(net, zip(p, p[1:]))
+        assert loads == pipelined_frame_load(net.nodes, net.edges(), p)
     _report(7, "1000 random (graph, path) pairs match the pipelined simulation")
 
 

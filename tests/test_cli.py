@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.metadata
+import itertools
 import json
 import os
 import shutil
@@ -24,7 +25,6 @@ from satnc import (
     FlowRequest,
     Formula,
     Network,
-    all_assignments,
     assignment_plan,
     audit,
     compile_formula,
@@ -177,25 +177,39 @@ class TestCheck:
         assert code == 0 and payload["verdict"] == "feasible"
 
     @pytest.mark.parametrize(
-        "plan",
-        [["--assignment", A1_LITERALS], ["--path", A1_ROUTE]],
-        ids=["assignment", "path"],
+        ("plan", "edge"),
+        [
+            (["--assignment", A1_LITERALS], ["A1", "B1"]),
+            (["--path", A1_ROUTE], ["A1", "B1"]),
+            (["--assignment", A1_LITERALS], ["E2", "X1"]),
+            (["--path", A1_ROUTE], ["E2", "X1"]),
+        ],
+        ids=["assignment", "path", "assignment-main-hop", "path-main-hop"],
     )
-    def test_plan_over_a_removed_edge_malformed(self, compiled, capsys, plan):
-        # Preload 1's one-hop path A1 -> B1 is no path once the edge is gone:
-        # a defect of the plan, not an overload, whether the plan comes from
-        # an assignment or from a main route that assumes every preload.
+    def test_plan_over_a_removed_edge_malformed(self, compiled, capsys, plan, edge):
+        # Preload 1's one-hop path A1 -> B1, or main's hop X1 -> E2, is no
+        # path once its edge is gone: a defect of the plan, not an overload,
+        # whether the plan comes from an assignment or from a main route that
+        # assumes every preload.  Both modes name a preload's defect by its
+        # flow label, and main's own bad hop as `bad_hop`, in text by paper
+        # names.
         data = json.loads(compiled.read_text())
-        data["edges"].remove(["A1", "B1"])
+        data["edges"].remove(edge)
         compiled.write_text(json.dumps(data))
         argv = ["check", "--instance", str(compiled), *plan]
-        reason = "preload-1: hop ('A1', 'B1') is not an edge"
+        if edge == ["A1", "B1"]:
+            text = "preload-1: hop ('A1', 'B1') is not an edge"
+            detail = {"reason": text}
+        else:
+            text = "hop n_4^1 -> n_1^2 is not an edge"
+            reason = "hop ('X1', 'E2') is not an edge"
+            detail = {"bad_hop": ["X1", "E2"], "reason": reason}
         assert main(argv) == 1
-        assert capsys.readouterr().out.endswith(f"verdict: malformed ({reason})\n")
+        assert capsys.readouterr().out.endswith(f"verdict: malformed ({text})\n")
         assert main([*argv, "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert (payload["verdict"], payload["reason"]) == ("malformed", reason)
-        assert "overloads" not in payload
+        payload.pop("path", None)  # the assignment's route, in paper names
+        assert payload == {"verdict": "malformed", **detail}
 
     @pytest.mark.parametrize("literals", ["1 2", "-1 2"])
     def test_partial_assignment_exit_2(self, tmp_path, capsys, literals):
@@ -236,8 +250,8 @@ class TestCheck:
 def test_check_modes_agree(tmp_path, capsys, var_count, clause_count, seed, data):
     # Every satisfying assignment's plan is its main route plus all m
     # preloads, the plan `check --path` assumes for that route: both modes
-    # must give one verdict, also once any edge is gone (a preload, chain,
-    # clique, bypass or conflict edge).
+    # must give one verdict, and name its defect alike, also once any edge is
+    # gone (a preload, chain, clique, bypass or conflict edge).
     formula = random_formula(var_count, clause_count, 2, seed)
     inst = compile_formula(formula)
     intact = instance_to_dict(inst)
@@ -246,7 +260,8 @@ def test_check_modes_agree(tmp_path, capsys, var_count, clause_count, seed, data
     for name, payload in [("intact", intact), ("edited", edited)]:
         file = tmp_path / f"{name}.json"
         file.write_text(json.dumps(payload))
-        for a in all_assignments(var_count):
+        for bits in itertools.product((False, True), repeat=var_count):
+            a = dict(enumerate(bits, 1))
             if eval_formula(formula, a) < clause_count:
                 continue
             literals = " ".join(str(v if a[v] else -v) for v in sorted(a))
@@ -254,7 +269,8 @@ def test_check_modes_agree(tmp_path, capsys, var_count, clause_count, seed, data
             runs = []
             for plan in (["--assignment", literals], ["--path", route]):
                 code = main(["check", "--instance", str(file), *plan, "--json"])
-                runs.append((code, json.loads(capsys.readouterr().out)["verdict"]))
+                out = json.loads(capsys.readouterr().out)
+                runs.append((code, *map(out.get, ("verdict", "reason", "bad_hop"))))
             assert runs[0] == runs[1], (name, literals)
 
 
@@ -736,6 +752,12 @@ class TestBound:
             "error: --k 14285 is too large: 2**k has more than 4300 digits, "
             "Python's limit for printing an integer\n"
         )
+
+
+def test_export_list_names_each_attribute_once():
+    exported = satnc.__all__
+    assert len(set(exported)) == len(exported)
+    assert [name for name in exported if not hasattr(satnc, name)] == []
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

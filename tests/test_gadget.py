@@ -10,14 +10,11 @@ from hypothesis import strategies as st
 from satnc import (
     AssignmentContradiction,
     CapacityPreset,
-    ClauseUnsatisfied,
     Formula,
     NcInstance,
     RouteAssignment,
     RoutePlan,
-    all_assignments,
     assignment_plan,
-    assignment_to_path,
     audit,
     brute_sat,
     check_feasible,
@@ -32,12 +29,17 @@ from satnc import (
     solve_exact,
 )
 from satnc.cnf import clause_true_sets, realizable_true_sets
-from conftest import A1, A2, BROKEN_PATH_RAW
+from conftest import A1, A2, BROKEN_PATH_RAW, omitted_preloads
 from oracles import reference_audit, subset_sizes
 
 
 def paper_names(inst, path):
     return [inst.paper_name(v) or v for v in path]
+
+
+def main_path(inst, a):
+    """The main route of the plan a total assignment induces."""
+    return assignment_plan(inst, a).assignments[-1].path
 
 
 def segments(inst, path):
@@ -114,8 +116,12 @@ class TestDegreeFacts:
 
 
 class TestAssignmentToPath:
+    """The main route ``assignment_plan`` gives a total assignment: each
+    satisfied clause crossed through its true literals, and each unsatisfied
+    one over its bypass, its preload left out."""
+
     def test_true_literal_segments(self, worked_instance):
-        path = assignment_to_path(worked_instance, A1)
+        path = main_path(worked_instance, A1)
         seg1, seg2, seg3 = segments(worked_instance, path)
         assert paper_names(worked_instance, seg1) == [
             "n_1^1", "n_5^1", "n_6^1", "n_9^1", "n_12^1", "n_13^1", "n_4^1",
@@ -130,12 +136,11 @@ class TestAssignmentToPath:
         assert path[-1] == "T"
 
     def test_wrong_assignment_fails_at_clause_3(self, worked_instance):
-        with pytest.raises(ClauseUnsatisfied) as exc:
-            assignment_to_path(worked_instance, A2)
-        assert exc.value.clause == 3
+        plan = assignment_plan(worked_instance, A2)
+        assert omitted_preloads(worked_instance, plan) == ["preload-3"]
 
     def test_feasible_with_preloads(self, worked_instance):
-        path = assignment_to_path(worked_instance, A1)
+        path = main_path(worked_instance, A1)
         plan = RoutePlan(
             preload_plan(worked_instance).assignments
             + (RouteAssignment(worked_instance.flows[-1], 0, path),)
@@ -146,7 +151,7 @@ class TestAssignmentToPath:
 
 class TestPathToAssignment:
     def test_inverts_canonical_path(self, worked_instance):
-        path = assignment_to_path(worked_instance, A1)
+        path = main_path(worked_instance, A1)
         partial = path_to_assignment(worked_instance, path)
         assert partial == {1: True, 2: True, 3: True, 4: False}
 
@@ -242,7 +247,7 @@ class TestAssignmentPlan:
     def test_all_satisfied(self, worked_instance):
         plan = assignment_plan(worked_instance, A1)
         assert plan.assignments[:-1] == preload_plan(worked_instance).assignments
-        assert plan.assignments[-1].path == assignment_to_path(worked_instance, A1)
+        assert plan.assignments[-1].flow == worked_instance.flows[-1]
         assert check_feasible(worked_instance.network, plan).ok
 
     def test_falsified_clause_drops_its_preload(self, worked_instance):
@@ -268,7 +273,7 @@ class TestClassifyPath:
         assert result.defects[0].bad_hop == ("X2", "P3.2")
 
     def test_canonical_path_feasible(self, worked_instance):
-        path = assignment_to_path(worked_instance, A1)
+        path = main_path(worked_instance, A1)
         assert classify_path(worked_instance, path).kind == "feasible"
 
     def test_bypass_route_overloaded(self, worked_instance):
@@ -313,17 +318,14 @@ def test_subset_sizes_match_counting_oracle(f):
 def test_soundness_and_completeness_exhaustive(f):
     inst = compile_formula(f)
     m = len(f.clauses)
-    for a in all_assignments(f.var_count):
+    for bits in itertools.product((False, True), repeat=f.var_count):
+        a = dict(enumerate(bits, 1))
+        plan = assignment_plan(inst, a)
         if eval_formula(f, a) == m:
-            path = assignment_to_path(inst, a)
-            plan = RoutePlan(
-                preload_plan(inst).assignments
-                + (RouteAssignment(inst.flows[-1], 0, path),)
-            )
+            assert plan.assignments[:-1] == preload_plan(inst).assignments
             assert check_feasible(inst.network, plan).ok
         else:
-            with pytest.raises(ClauseUnsatisfied):
-                assignment_to_path(inst, a)
+            assert omitted_preloads(inst, plan)
 
 
 @given(small_formulas)
@@ -333,7 +335,7 @@ def test_inversion_consistent(f):
     witness = brute_sat(f)
     if witness is None:
         return
-    path = assignment_to_path(inst, witness)
+    path = main_path(inst, witness)
     partial = path_to_assignment(inst, path)
     for var, value in partial.items():
         assert witness[var] == value
@@ -352,7 +354,8 @@ def test_max_correspondence_small_scale(f):
     inst = compile_formula(f)
     max_sat = max_sat_brute(f)[0]
     assert required_main_optimum(inst) == 1 + max_sat
-    for a in all_assignments(f.var_count):
+    for bits in itertools.product((False, True), repeat=f.var_count):
+        a = dict(enumerate(bits, 1))
         plan = assignment_plan(inst, a)
         assert check_feasible(inst.network, plan).ok
         assert len(plan) == 1 + eval_formula(f, a)

@@ -13,12 +13,10 @@ from satnc import (
     RouteAssignment,
     RoutePlan,
     check_feasible,
-    interference_set,
     is_elementary,
-    path_load,
     plan_load,
 )
-from satnc.model import validate_path
+from satnc.model import hops_load, validate_path
 from conftest import make_network, path_graph, random_connected_network
 from oracles import naive_path_fault, pipelined_frame_load
 
@@ -63,7 +61,6 @@ class TestOneTable:
             assert len(set(twice.transmit_sets[v])) == len(twice.transmit_sets[v])
             assert twice.adjacency(v) == once.adjacency(v)
         route = ("A", "B", "C", "D")
-        assert path_load(twice, route) == path_load(once, route)
         assert plan_load(twice, plan_of(twice, route)) == plan_load(
             once, plan_of(once, route)
         )
@@ -89,34 +86,32 @@ class TestOneTable:
 
 
 class TestInterferenceSet:
+    """A transmission over a hop (u, x) loads u's transmit set: u and its
+    whole neighbourhood, the receiver x included."""
+
     def test_isolated_edge(self):
         net = make_network(["A", "B"], [("A", "B")], 1)
-        assert interference_set(net, ("A", "B")) == {"A", "B"}
+        assert set(net.transmit_sets["A"]) == {"A", "B"}
 
     def test_path_graph(self):
         net = path_graph("ABC")
-        assert interference_set(net, ("B", "C")) == {"A", "B", "C"}
+        assert set(net.transmit_sets["B"]) == {"A", "B", "C"}
 
     def test_star(self):
         net = make_network(
             ["S", "L1", "L2", "L3"], [("S", "L1"), ("S", "L2"), ("S", "L3")], 1
         )
-        assert interference_set(net, ("S", "L1")) == {"S", "L1", "L2", "L3"}
-
-    def test_non_adjacent_pair(self):
-        with pytest.raises(ValueError):
-            interference_set(path_graph("ABC"), ("A", "C"))
+        assert set(net.transmit_sets["S"]) == {"S", "L1", "L2", "L3"}
 
 
 class TestPathLoad:
+    """The load of one routed copy: ``plan_load`` of a one-path plan."""
+
     def test_three_node_path(self):
         net = path_graph("ABC")
-        assert path_load(net, ("A", "B", "C")) == {"A": 2, "B": 2, "C": 1}
-
-    def test_trivial_paths(self):
-        net = path_graph("ABC")
-        assert path_load(net, ()) == {"A": 0, "B": 0, "C": 0}
-        assert path_load(net, ("B",)) == {"A": 0, "B": 0, "C": 0}
+        assert plan_load(net, plan_of(net, ("A", "B", "C"))) == {
+            "A": 2, "B": 2, "C": 1
+        }
 
     def test_prefix_of_longer_chain(self):
         # Frozen from the hop-enumeration oracle: only A's and B's
@@ -125,14 +120,14 @@ class TestPathLoad:
         net = path_graph("ABCDEF")
         expected = pipelined_frame_load(net.nodes, net.edges(), ("A", "B", "C"))
         assert expected == {"A": 2, "B": 2, "C": 1, "D": 0, "E": 0, "F": 0}
-        assert path_load(net, ("A", "B", "C")) == expected
+        assert plan_load(net, plan_of(net, ("A", "B", "C"))) == expected
 
     def test_invalid_path_raises(self):
         net = path_graph("ABC")
         with pytest.raises(ValueError):
-            path_load(net, ("A", "C"))
+            plan_load(net, plan_of(net, ("A", "C")))
         with pytest.raises(ValueError):
-            path_load(net, ("A", "B", "A"))
+            plan_load(net, plan_of(net, ("A", "B", "A", "B")))
 
 
 class TestPlanLoad:
@@ -142,7 +137,7 @@ class TestPlanLoad:
 
     def test_two_copies_double(self):
         net = path_graph("ABC")
-        single = path_load(net, ("A", "B", "C"))
+        single = plan_load(net, plan_of(net, ("A", "B", "C")))
         double = plan_load(net, plan_of(net, ("A", "B", "C"), ("A", "B", "C")))
         assert double == {v: 2 * n for v, n in single.items()}
 
@@ -208,15 +203,13 @@ def test_additivity_and_per_hop_bound(net_and_paths):
     net, paths = net_and_paths
     combined = {v: 0 for v in net.nodes}
     for p in paths:
-        single = path_load(net, p)
+        single = hops_load(net, zip(p, p[1:]))
         hops = max(len(p) - 1, 0)
         assert all(n <= hops for n in single.values())
         for v, n in single.items():
             combined[v] += n
-    if paths:
-        plan = plan_of(net, *paths) if all(len(p) >= 2 for p in paths) else None
-        if plan is not None:
-            assert plan_load(net, plan) == combined
+    if paths and all(len(p) >= 2 for p in paths):
+        assert plan_load(net, plan_of(net, *paths)) == combined
 
 
 @given(random_net_and_paths())
@@ -227,10 +220,8 @@ def test_total_load_is_interference_mass_both_ways(net_and_paths):
         if len(p) < 2:
             continue
         for q in (p, tuple(reversed(p))):
-            mass = sum(
-                len(interference_set(net, hop)) for hop in zip(q, q[1:])
-            )
-            assert sum(path_load(net, q).values()) == mass
+            mass = sum(len(net.transmit_sets[u]) for u in q[:-1])
+            assert sum(plan_load(net, plan_of(net, q)).values()) == mass
 
 
 @given(random_net_and_paths())
@@ -238,7 +229,8 @@ def test_total_load_is_interference_mass_both_ways(net_and_paths):
 def test_oracle_equivalence(net_and_paths):
     net, paths = net_and_paths
     for p in paths:
-        assert path_load(net, p) == pipelined_frame_load(net.nodes, net.edges(), p)
+        loads = dict.fromkeys(net.nodes, 0) | hops_load(net, zip(p, p[1:]))
+        assert loads == pipelined_frame_load(net.nodes, net.edges(), p)
 
 
 @st.composite
