@@ -115,8 +115,7 @@ def _check_assignment(inst: NcInstance, raw: str, as_json: bool) -> int:
             print(f"verdict: failure at clause {failed}")
         return 1
     verdict = check_feasible(inst.network, plan)
-    # A path that is no path of the network was never loaded: name it instead.
-    detail = _defect_detail(inst, verdict) or {"overloads": verdict.overloads}
+    detail = _defect_detail(inst, verdict)
     names = [inst.paper_name(v) or v for v in plan.assignments[-1].path]
     if as_json:
         print(json.dumps({"verdict": verdict.kind, "path": names, **detail}))
@@ -129,14 +128,15 @@ def _check_assignment(inst: NcInstance, raw: str, as_json: bool) -> int:
 
 
 def _defect_detail(inst: NcInstance, verdict: FeasibilityVerdict) -> dict:
-    """The first defect of a plan of the preloads then main, as JSON: a
-    preload's under its flow label, main's bad hop as ``bad_hop``."""
+    """A verdict on a plan of the preloads then main, as JSON: its first
+    defect (a preload's under its flow label, main's bad hop as ``bad_hop``)
+    or, with none, its ``overloads``, ``[]`` when feasible."""
     for defect in verdict.defects[:1]:
         if defect.index < len(inst.flows) - 1:
             return {"reason": f"{inst.flows[defect.index].label}: {defect.reason}"}
         hop = {"bad_hop": list(defect.bad_hop)} if defect.bad_hop else {}
         return {**hop, "reason": defect.reason}
-    return {}
+    return {"overloads": verdict.overloads}
 
 
 def _print_verdict(
@@ -162,8 +162,6 @@ def _check_path(inst: NcInstance, raw: str, as_json: bool) -> int:
     path = _parse_node_list(inst, raw)
     verdict = classify_path(inst, path)
     detail = _defect_detail(inst, verdict)
-    if verdict.kind == "overloaded":
-        detail["overloads"] = verdict.overloads
     if as_json:
         print(json.dumps({"verdict": verdict.kind, **detail}))
     else:

@@ -31,31 +31,20 @@ class Formula:
 
     var_count: int
     clauses: tuple[tuple[int, ...], ...]
-    k_bound: int
 
     def __post_init__(self) -> None:
         if self.var_count < 1:
             raise ValueError("var_count must be positive")
-        if self.k_bound < 2:
-            raise ValueError("k_bound must be at least 2")
         for idx, clause in enumerate(self.clauses, 1):
             if not clause:
                 raise ValueError(f"clause {idx} is empty")
-            if len(clause) > self.k_bound:
-                raise ValueError(f"clause {idx} wider than k_bound")
             for lit in clause:
                 if lit == 0 or abs(lit) > self.var_count:
                     raise ValueError(f"clause {idx}: literal {lit} out of range")
 
     @classmethod
-    def from_clauses(
-        cls, var_count: int, clauses: list | tuple, k_bound: int | None = None
-    ) -> "Formula":
-        cl = tuple(tuple(c) for c in clauses)
-        if k_bound is None:
-            k_bound = max((len(c) for c in cl), default=2)
-            k_bound = max(k_bound, 2)
-        return cls(var_count, cl, k_bound)
+    def from_clauses(cls, var_count: int, clauses: list | tuple) -> "Formula":
+        return cls(var_count, tuple(tuple(c) for c in clauses))
 
 
 def parse_dimacs(text: str) -> Formula:
@@ -250,7 +239,7 @@ def random_formula(n: int, m: int, k: int, seed: int) -> Formula:
     for _ in range(m):
         variables = rng.sample(range(1, n + 1), k)
         clauses.append(tuple(v if rng.random() < 0.5 else -v for v in variables))
-    return Formula(n, tuple(clauses), max(k, 2))
+    return Formula(n, tuple(clauses))
 
 
 def lint_formula(f: Formula) -> list[str]:

@@ -367,11 +367,10 @@ def classify_path(inst: NcInstance, p: Path) -> FeasibilityVerdict:
 
 @dataclass(frozen=True)
 class ClauseAudit:
+    """A clause's slack report; ``AuditReport.failures`` is the verdict."""
+
     clause: int
     margins: Mapping[str, int]  # min (capacity - load) per node subset
-    bypass_blocked: bool
-    conflict_blocked: bool
-    through_route_blocked: bool
 
 
 @dataclass(frozen=True)
@@ -394,6 +393,7 @@ def audit(inst: NcInstance) -> AuditReport:
     All computed by exact load arithmetic on the relevant hops, on the
     watched nodes only: a clause's context load once, then each segment's
     transmitters from per-position tables of the watched nodes they load.
+    The failures are the verdict; each clause's margins are its slack report.
     """
     formula = _require_compiled(inst)
     cap = inst.network.capacity
@@ -477,22 +477,13 @@ def audit(inst: NcInstance) -> AuditReport:
         ]
 
         # The route e -> bypass -> x: transmitters e and the bypass itself.
-        bypass_blocked = (bypass in tx[e]) + 1 > room[slot[bypass]]
-        if not bypass_blocked:
+        if (bypass in tx[e]) + 1 <= room[slot[bypass]]:
             failures.append(f"clause {i}: bypass not blocked")
-
-        conflict_blocked = True
-        through_blocked = True
         for pair in pairs:
             k, conflict, through = pair_blocks[pair.index]
             if not conflict:
-                conflict_blocked = False
                 failures.append(f"clause {i}: conflict not blocked ({k})")
             if not through:
-                through_blocked = False
                 failures.append(f"clause {i}: conflict through-route not blocked ({k})")
-
-        records.append(
-            ClauseAudit(i, margins, bypass_blocked, conflict_blocked, through_blocked)
-        )
+        records.append(ClauseAudit(i, margins))
     return AuditReport(tuple(records), tuple(failures))

@@ -178,7 +178,9 @@ def enum_paths(
 ) -> tuple[list[Path], bool]:
     """Elementary s-t paths whose own load fits the per-node budget (nodes
     missing from it are unconstrained), in lexicographic order: at most
-    ``limit`` of them, plus a flag telling whether more were left out."""
+    ``limit`` of them, plus a flag telling whether more were left out.
+    Without a ``budget`` nothing prunes: on a 131-node compiled instance the
+    first E1-T path took over 25 s (1 ms under ``budget=dict(net.capacity)``)."""
     if s == t:
         raise ValueError("source equals destination")
     net._require(s)

@@ -211,6 +211,38 @@ class TestCheck:
         payload.pop("path", None)  # the assignment's route, in paper names
         assert payload == {"verdict": "malformed", **detail}
 
+    @pytest.mark.parametrize(
+        ("kind", "keys"),
+        [
+            ("feasible", {"verdict", "overloads"}),
+            ("overloaded", {"verdict", "overloads"}),
+            ("malformed", {"verdict", "bad_hop", "reason"}),
+        ],
+    )
+    def test_json_verdict_one_shape_in_both_modes(self, tmp_path, kind, keys, capsys):
+        # A1's plan is its route plus every preload, the plan `--path`
+        # assumes: both modes print one payload for it, `path` aside.  A
+        # loaded plan carries `overloads` (`[]` when feasible); a malformed
+        # one carries the defect instead.
+        inst = tmp_path / "worked.json"
+        caps = ["--caps", "v2=2"] if kind == "overloaded" else []
+        cnf = str(FIXTURES / "worked_example.cnf")
+        assert main(["compile", "--cnf", cnf, "--out", str(inst), *caps]) == 0
+        if kind == "malformed":
+            data = json.loads(inst.read_text())
+            data["edges"].remove(["E2", "X1"])
+            inst.write_text(json.dumps(data))
+        capsys.readouterr()
+        payloads = []
+        for plan in (["--assignment", A1_LITERALS], ["--path", A1_ROUTE]):
+            code = main(["check", "--instance", str(inst), *plan, "--json"])
+            assert code == (kind != "feasible")
+            payloads.append(json.loads(capsys.readouterr().out))
+        del payloads[0]["path"]  # the assignment's route, in paper names
+        assert payloads[0] == payloads[1]
+        assert payloads[0]["verdict"] == kind and set(payloads[0]) == keys
+        assert (payloads[0].get("overloads") == []) == (kind == "feasible")
+
     @pytest.mark.parametrize("literals", ["1 2", "-1 2"])
     def test_partial_assignment_exit_2(self, tmp_path, capsys, literals):
         # Exit 2 whether or not a clause fails, with the count and the first
