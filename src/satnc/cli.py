@@ -23,7 +23,7 @@ from .gadget import (
 )
 from .harness import run_verification
 from .instance_io import load_instance, save_instance, to_dot
-from .model import FeasibilityVerdict, RoutePlan, check_feasible, plan_load
+from .model import Path, RoutePlan, plan_load
 from .solver import DEFAULT_NODE_BUDGET, inapprox_bound, solve_exact, solve_greedy
 
 _CAP_FIELDS = {
@@ -94,86 +94,68 @@ def cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
+def _judge(inst: NcInstance, path: Path, as_json: bool, shown: dict) -> int:
+    """Print ``classify_path``'s verdict on ``path`` as main with every
+    preload routed and return the exit code: the first defect, a preload's
+    under its flow label and main's bad hop as ``bad_hop``, or else the
+    ``overloads``.  ``shown`` (an assignment's route) precedes it in JSON."""
+    verdict = classify_path(inst, path)
+    detail: dict = {"overloads": verdict.overloads}
+    for defect in verdict.defects[:1]:
+        text = defect.reason
+        detail = {"reason": text}
+        if defect.index < len(inst.flows) - 1:
+            text = detail["reason"] = f"{inst.flows[defect.index].label}: {text}"
+        elif defect.bad_hop:
+            detail = {"bad_hop": list(defect.bad_hop), "reason": text}
+            u, x = (inst.paper_name(v) or v for v in defect.bad_hop)
+            text = f"hop {u} -> {x} is not an edge"
+    if as_json:
+        print(json.dumps({"verdict": verdict.kind, **shown, **detail}))
+    elif verdict.defects:
+        print(f"verdict: malformed ({text})")
+    else:
+        for o in verdict.overloads:
+            print(f"overload: {o.node} load {o.load} > capacity {o.capacity}")
+        print(f"verdict: {verdict.kind}")
+    return 0 if verdict.ok else 1
+
+
 def _check_assignment(inst: NcInstance, raw: str, as_json: bool) -> int:
     assignment = _parse_literals(raw)
     formula = inst.formula
-    if formula is None:
-        raise ValueError("instance carries no formula; use --path")
     unknown = sorted(v for v in assignment if v > formula.var_count)
     if unknown:
         raise ValueError(f"assignment names variables the formula lacks: {unknown}")
     plan = assignment_plan(inst, assignment)  # refuses a partial assignment
     per_clause = [true_positions(c, assignment) for c in formula.clauses]
     failed = next((i for i, trues in enumerate(per_clause, 1) if not trues), None)
+    if not as_json:
+        for i, trues in enumerate(per_clause, 1):
+            state = f"true at positions {list(trues)}" if trues else "UNSATISFIED"
+            print(f"clause {i}: {state}")
     if failed is not None:
         if as_json:
             print(json.dumps({"verdict": "unsatisfied", "clause": failed}))
         else:
-            for i, trues in enumerate(per_clause, 1):
-                state = f"true at positions {list(trues)}" if trues else "UNSATISFIED"
-                print(f"clause {i}: {state}")
             print(f"verdict: failure at clause {failed}")
         return 1
-    verdict = check_feasible(inst.network, plan)
-    detail = _defect_detail(inst, verdict)
-    names = [inst.paper_name(v) or v for v in plan.assignments[-1].path]
-    if as_json:
-        print(json.dumps({"verdict": verdict.kind, "path": names, **detail}))
-    else:
-        for i, trues in enumerate(per_clause, 1):
-            print(f"clause {i}: true at positions {list(trues)}")
+    # Every clause satisfied: the plan is every preload plus main, the plan
+    # ``classify_path`` builds for main's route.
+    route = plan.assignments[-1].path
+    names = [inst.paper_name(v) or v for v in route]
+    if not as_json:
         print("path:", " ".join(names))
-        _print_verdict(inst, verdict, detail, " (0 overloads)")
-    return 0 if verdict.ok else 1
-
-
-def _defect_detail(inst: NcInstance, verdict: FeasibilityVerdict) -> dict:
-    """A verdict on a plan of the preloads then main, as JSON: its first
-    defect (a preload's under its flow label, main's bad hop as ``bad_hop``)
-    or, with none, its ``overloads``, ``[]`` when feasible."""
-    for defect in verdict.defects[:1]:
-        if defect.index < len(inst.flows) - 1:
-            return {"reason": f"{inst.flows[defect.index].label}: {defect.reason}"}
-        hop = {"bad_hop": list(defect.bad_hop)} if defect.bad_hop else {}
-        return {**hop, "reason": defect.reason}
-    return {"overloads": verdict.overloads}
-
-
-def _print_verdict(
-    inst: NcInstance, verdict: FeasibilityVerdict, detail: dict, feasible: str = ""
-) -> None:
-    """A verdict's closing text: feasible, malformed for the reason in
-    ``detail`` (a bad hop of main by paper names), or each overload."""
-    if verdict.ok:
-        print(f"verdict: feasible{feasible}")
-    elif verdict.defects:
-        reason = detail["reason"]
-        if "bad_hop" in detail:
-            u, x = (inst.paper_name(v) or v for v in detail["bad_hop"])
-            reason = f"hop {u} -> {x} is not an edge"
-        print(f"verdict: malformed ({reason})")
-    else:
-        for o in verdict.overloads:
-            print(f"overload: {o.node} load {o.load} > capacity {o.capacity}")
-        print("verdict: overloaded")
-
-
-def _check_path(inst: NcInstance, raw: str, as_json: bool) -> int:
-    path = _parse_node_list(inst, raw)
-    verdict = classify_path(inst, path)
-    detail = _defect_detail(inst, verdict)
-    if as_json:
-        print(json.dumps({"verdict": verdict.kind, **detail}))
-    else:
-        _print_verdict(inst, verdict, detail)
-    return 0 if verdict.ok else 1
+    return _judge(inst, route, as_json, {"path": names})
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
+    if inst.formula is None:
+        raise ValueError("check needs an instance compiled from a formula")
     if args.assignment is not None:
         return _check_assignment(inst, args.assignment, args.json)
-    return _check_path(inst, args.path, args.json)
+    return _judge(inst, _parse_node_list(inst, args.path), args.json, {})
 
 
 def cmd_solve(args: argparse.Namespace) -> int:

@@ -343,13 +343,11 @@ def assignment_plan(inst: NcInstance, a: Assignment) -> RoutePlan:
 
 
 def classify_path(inst: NcInstance, p: Path) -> FeasibilityVerdict:
-    """Judge a candidate main-flow path with all preloads routed.
-
-    The route's own faults come first: its first bad hop or repeat, then
-    endpoints other than E1 and T, each a defect at main's plan index.
-    Otherwise the whole plan, preloads included, is judged by
-    ``check_feasible``.
-    """
+    """The route verdict of both ``check`` modes: a main-flow path judged
+    with all preloads routed.  Main's own faults come before a preload's:
+    its first bad hop or repeat, then endpoints other than E1 and T, each
+    a defect at main's plan index.  Otherwise ``check_feasible`` judges the
+    whole plan, preloads included."""
     preloads = preload_plan(inst).assignments
     main = inst.flows[-1]
     try:

@@ -131,7 +131,7 @@ class TestCheck:
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "feasible (0 overloads)" in out
+        assert out.endswith("\nverdict: feasible\n")
 
     def test_wrong_assignment_fails_clause_3(self, compiled, capsys):
         code = main(
@@ -177,27 +177,37 @@ class TestCheck:
         assert code == 0 and payload["verdict"] == "feasible"
 
     @pytest.mark.parametrize(
-        ("plan", "edge"),
+        ("plan", "edges"),
         [
-            (["--assignment", A1_LITERALS], ["A1", "B1"]),
-            (["--path", A1_ROUTE], ["A1", "B1"]),
-            (["--assignment", A1_LITERALS], ["E2", "X1"]),
-            (["--path", A1_ROUTE], ["E2", "X1"]),
+            (["--assignment", A1_LITERALS], [["A1", "B1"]]),
+            (["--path", A1_ROUTE], [["A1", "B1"]]),
+            (["--assignment", A1_LITERALS], [["E2", "X1"]]),
+            (["--path", A1_ROUTE], [["E2", "X1"]]),
+            (["--assignment", A1_LITERALS], [["A1", "B1"], ["E2", "X1"]]),
+            (["--path", A1_ROUTE], [["A1", "B1"], ["E2", "X1"]]),
         ],
-        ids=["assignment", "path", "assignment-main-hop", "path-main-hop"],
+        ids=[
+            "assignment",
+            "path",
+            "assignment-main-hop",
+            "path-main-hop",
+            "assignment-both",
+            "path-both",
+        ],
     )
-    def test_plan_over_a_removed_edge_malformed(self, compiled, capsys, plan, edge):
+    def test_plan_over_a_removed_edge_malformed(self, compiled, capsys, plan, edges):
         # Preload 1's one-hop path A1 -> B1, or main's hop X1 -> E2, is no
         # path once its edge is gone: a defect of the plan, not an overload,
         # whether the plan comes from an assignment or from a main route that
         # assumes every preload.  Both modes name a preload's defect by its
         # flow label, and main's own bad hop as `bad_hop`, in text by paper
-        # names.
+        # names; with both edges gone, main's own fault is named first.
         data = json.loads(compiled.read_text())
-        data["edges"].remove(edge)
+        for edge in edges:
+            data["edges"].remove(edge)
         compiled.write_text(json.dumps(data))
         argv = ["check", "--instance", str(compiled), *plan]
-        if edge == ["A1", "B1"]:
+        if ["E2", "X1"] not in edges:
             text = "preload-1: hop ('A1', 'B1') is not an edge"
             detail = {"reason": text}
         else:
@@ -210,6 +220,22 @@ class TestCheck:
         payload = json.loads(capsys.readouterr().out)
         payload.pop("path", None)  # the assignment's route, in paper names
         assert payload == {"verdict": "malformed", **detail}
+
+    def test_plain_instance_refused_alike_in_both_modes(self, tmp_path, capsys):
+        # Without a formula there are no preloads to route and no clauses to
+        # satisfy: both modes refuse the instance with one and the same line.
+        net = Network("AB", [("A", "B")], {"A": 3, "B": 3})
+        inst = tmp_path / "plain.json"
+        save_instance(plain_instance(net, [FlowRequest("A", "B", 1, "x")]), inst)
+        errors = []
+        for plan in (["--assignment", "1"], ["--path", "A,B"]):
+            code = main(["check", "--instance", str(inst), *plan])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: ") and errors[0].count("\n") == 1
+        assert "--path" not in errors[0]
 
     @pytest.mark.parametrize(
         ("kind", "keys"),

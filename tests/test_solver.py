@@ -60,9 +60,10 @@ class TestEnumPaths:
         assert paths == [("A", "B", "C"), ("A", "C")]
 
     def test_tight_budget_empty(self):
-        net = path_graph("ABC")
-        budget = {"A": 9, "B": 1, "C": 9}
-        paths, _ = enum_paths(net, "A", "C", budget)
+        # B hears both A's and its own transmission: 2 > 1.
+        caps = {"A": 9, "B": 1, "C": 9}
+        net = make_network(["A", "B", "C"], [("A", "B"), ("B", "C")], caps)
+        paths, _ = enum_paths(net, "A", "C")
         assert paths == []
 
     def test_limit_truncation(self):
@@ -76,8 +77,7 @@ class TestEnumPaths:
 
     def test_zero_capacity_source_admits_nothing(self):
         net = make_network(["A", "B"], [("A", "B")], {"A": 0, "B": 5})
-        budget = {v: net.capacity_of(v) for v in net.nodes}
-        paths, _ = enum_paths(net, "A", "B", budget)
+        paths, _ = enum_paths(net, "A", "B")
         assert paths == []
 
     def test_long_compiled_path_without_recursion(self):
@@ -87,13 +87,23 @@ class TestEnumPaths:
         assert len(paths) == 1 and truncated
         assert paths[0][0] == "E1" and paths[0][-1] == "T"
 
+    def test_walled_off_prefixes_cut_by_capacity(self):
+        # Searched under unbounded room, this instance gave no E1-T path
+        # within a minute: prefixes that wall T off were explored to the end.
+        clauses = [(-2, 1), (-4, 1, 4, 4), (-1, 1), (-4, -1, 1, -3)]
+        clauses += [(-4, -1, 4, -2), (-1, 2), (1, -1, 1, 2)]
+        net = compile_formula(Formula.from_clauses(4, clauses)).network
+        paths, truncated = enum_paths(net, "E1", "T", limit=50)
+        assert len(paths) == 50 and truncated
+        caps = dict(net.capacity)
+        assert all(naive_plan_feasible(net.nodes, net.edges(), caps, [p]) for p in paths)
+
     def test_zero_capacity_neighbor_blocks_transmission(self):
         # C never appears on the path but hears A transmit.
         net = make_network(
             ["A", "B", "C"], [("A", "B"), ("A", "C")], {"A": 5, "B": 5, "C": 0}
         )
-        budget = {v: net.capacity_of(v) for v in net.nodes}
-        paths, _ = enum_paths(net, "A", "B", budget)
+        paths, _ = enum_paths(net, "A", "B")
         assert paths == []
 
 
@@ -467,7 +477,11 @@ def test_enum_paths_equals_naive_enumerator(seed):
     s, t = rng.sample(net.nodes, 2)
     ours, truncated = enum_paths(net, s, t)
     assert not truncated
-    naive = naive_simple_paths(net.nodes, net.edges(), s, t)
+    naive = [
+        p
+        for p in naive_simple_paths(net.nodes, net.edges(), s, t)
+        if naive_plan_feasible(net.nodes, net.edges(), dict(net.capacity), [p])
+    ]
     assert sorted(ours) == sorted(naive)
     assert ours == sorted(ours)  # deterministic lexicographic emission order
 
