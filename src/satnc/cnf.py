@@ -1,4 +1,4 @@
-"""CNF formulas, DIMACS text, and exhaustive SAT / MAX-SAT oracles.
+"""CNF formulas, DIMACS text, and an exhaustive MAX-SAT oracle.
 
 Literals are DIMACS-style signed integers: variable ``v`` appears as ``v``
 (positive) or ``-v`` (negated).  Assignments are plain dicts mapping the
@@ -163,59 +163,35 @@ def eval_formula(f: Formula, a: Assignment) -> int:
     return sum(1 for clause in f.clauses if clause_satisfied(clause, a))
 
 
-def _masks(f: Formula) -> list[tuple[int, int]]:
-    # Bit of variable v is 1 << (var_count - v), so the integer order of
-    # candidate assignments is the lexicographic order with v1 most
-    # significant and false < true.
-    out = []
+def max_sat_brute(f: Formula) -> tuple[int, Assignment]:
+    """Maximum satisfiable clause count with a lexicographically-first
+    witness.  The formula is satisfiable exactly when the count is
+    ``len(f.clauses)``, and the witness is then its first satisfying
+    assignment.
+
+    Scans all 2**n assignments, ground truth at desk scale only: refuses
+    formulas with more than ``EXHAUSTIVE_BOUND`` variables.
+    """
+    n = f.var_count
+    if n > EXHAUSTIVE_BOUND:
+        raise ValueError(
+            f"{n} variables exceed the exhaustive bound of {EXHAUSTIVE_BOUND}"
+        )
+    # Bit of variable v is 1 << (n - v), so the integer order of candidate
+    # assignments is the lexicographic order with v1 most significant and
+    # false < true.
+    masks = []
     for clause in f.clauses:
         pos = neg = 0
         for lit in clause:
-            bit = 1 << (f.var_count - abs(lit))
             if lit > 0:
-                pos |= bit
+                pos |= 1 << (n - lit)
             else:
-                neg |= bit
-        out.append((pos, neg))
-    return out
-
-
-def _unpack(f: Formula, packed: int) -> Assignment:
-    return {
-        v: bool(packed & (1 << (f.var_count - v))) for v in range(1, f.var_count + 1)
-    }
-
-
-def _require_exhaustive(f: Formula) -> None:
-    # Both oracles scan all 2**n assignments: ground truth at desk scale only.
-    if f.var_count > EXHAUSTIVE_BOUND:
-        raise ValueError(
-            f"{f.var_count} variables exceed the exhaustive bound of "
-            f"{EXHAUSTIVE_BOUND}"
-        )
-
-
-def brute_sat(f: Formula) -> Assignment | None:
-    """First satisfying assignment in lexicographic order, or None.
-
-    Refuses formulas with more than ``EXHAUSTIVE_BOUND`` variables.
-    """
-    _require_exhaustive(f)
-    masks = _masks(f)
-    full = (1 << f.var_count) - 1
-    for packed in range(1 << f.var_count):
-        if all(packed & pos or (~packed & full) & neg for pos, neg in masks):
-            return _unpack(f, packed)
-    return None
-
-
-def max_sat_brute(f: Formula) -> tuple[int, Assignment]:
-    """Maximum satisfiable clause count with a lexicographically-first witness."""
-    _require_exhaustive(f)
-    masks = _masks(f)
-    full = (1 << f.var_count) - 1
+                neg |= 1 << (n + lit)
+        masks.append((pos, neg))
+    full = (1 << n) - 1
     best_count, best_packed = -1, 0
-    for packed in range(1 << f.var_count):
+    for packed in range(1 << n):
         count = sum(
             1 for pos, neg in masks if packed & pos or (~packed & full) & neg
         )
@@ -223,7 +199,7 @@ def max_sat_brute(f: Formula) -> tuple[int, Assignment]:
             best_count, best_packed = count, packed
             if best_count == len(f.clauses):
                 break
-    return best_count, _unpack(f, best_packed)
+    return best_count, {v: bool(best_packed & (1 << (n - v))) for v in range(1, n + 1)}
 
 
 def random_formula(n: int, m: int, k: int, seed: int) -> Formula:

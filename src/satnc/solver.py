@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Iterable, Iterator
@@ -185,16 +186,6 @@ def enum_paths(
     return paths, next(found, None) is not None
 
 
-def _effective_copies(inst: NcInstance) -> list[int]:
-    # Every copy loads its source and its destination by at least one, so
-    # an unbounded demand never has more copies than those capacities allow.
-    caps = inst.network.capacity
-    return [
-        f.copies if f.copies is not None else min(caps[f.src], caps[f.dst])
-        for f in inst.flows
-    ]
-
-
 def solve_exact(
     inst: NcInstance,
     budget: int = DEFAULT_NODE_BUDGET,
@@ -209,7 +200,8 @@ def solve_exact(
     Each branch searches paths on demand under its residual capacity, and
     copies of one flow take non-decreasing paths.  Branches are cut with an
     admissible bound from the remaining copy supply, capped per flow by how
-    many copies the residual capacity at its endpoints could still carry.
+    many copies the residual capacity at its endpoints could still carry;
+    that cap alone bounds a flow with ``copies=None``, an unbounded demand.
     ``start``, a feasible plan that routes every required flow, is the
     first incumbent, so the bound prunes against it from the root.  A start
     that is not feasible raises ``InfeasibleStart``; one that routes a copy
@@ -236,7 +228,7 @@ def solve_exact(
     net = inst.network
     router = _Router(net)
     room = list(router.capacity)
-    copies = _effective_copies(inst)
+    copies = [math.inf if f.copies is None else f.copies for f in inst.flows]
     ends = [(router.index[f.src], router.index[f.dst]) for f in inst.flows]
     routable = [True] * len(ends)  # whether each flow has a path at the root
     # A copy loads its source twice unless s-t is one hop: the second
@@ -250,6 +242,10 @@ def solve_exact(
         best_count, best_plan = len(start), start.assignments
     explored = 0
 
+    # Every routed copy of a flow takes at least one unit of room at its
+    # source and one at its destination, so after c copies this is at most
+    # min(capacity[s], capacity[t]) - c: it caps an unbounded demand, and a
+    # flow whose endpoints are out of room has no path to search.
     def endpoint_ub(fi: int) -> int:
         s, t = ends[fi]
         if not routable[fi] or room[s] <= 0 or room[t] <= 0:
@@ -348,7 +344,7 @@ def solve_greedy(inst: NcInstance) -> SolveResult:
     adj, tx = router.adj, router.tx
     room = list(router.capacity)
     plan: list[RouteAssignment] = []
-    for flow, copies in zip(inst.flows, _effective_copies(inst)):
+    for flow in inst.flows:
         s, t = router.index[flow.src], router.index[flow.dst]
         hops = router._hops(t)
         if hops[s] == len(adj):
@@ -360,7 +356,7 @@ def solve_greedy(inst: NcInstance) -> SolveResult:
             near = hops[path[-1]] - 1
             path.append(next(w for w in adj[path[-1]] if hops[w] == near))
         ids = router.path_ids(tuple(path))
-        for ci in range(copies):
+        for ci in itertools.count() if flow.copies is None else range(flow.copies):
             router.charge(room, path[:-1], -1)
             if any(room[v] < 0 for u in path[:-1] for v in tx[u]):
                 router.charge(room, path[:-1], 1)

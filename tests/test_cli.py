@@ -44,6 +44,11 @@ A1_LITERALS = "1 2 3 -4 -5 -6"
 A2_LITERALS = "1 2 3 4 -5 -6"
 # The main route A1_LITERALS induces on the worked example.
 A1_ROUTE = "E1,P1.1,L1.1,L1.2,L1.3,Q1.3,X1,E2,P2.2,L2.2,Q2.2,X2,E3,P3.4,L3.4,Q3.4,X3,T"
+# The same route by raw construction indices, as the README gives it.
+A1_RAW_ROUTE = (
+    "n_1^1,n_5^1,n_6^1,n_9^1,n_12^1,n_13^1,n_4^1,n_1^2,n_8^2,n_9^2,n_10^2,"
+    "n_4^2,n_1^3,n_14^3,n_15^3,n_16^3,n_4^3,T"
+)
 
 
 @pytest.fixture()
@@ -185,6 +190,9 @@ class TestCheck:
             (["--path", A1_ROUTE], [["E2", "X1"]]),
             (["--assignment", A1_LITERALS], [["A1", "B1"], ["E2", "X1"]]),
             (["--path", A1_ROUTE], [["A1", "B1"], ["E2", "X1"]]),
+            (["--path", A1_RAW_ROUTE], [["A1", "B1"]]),
+            (["--path", A1_RAW_ROUTE], [["E2", "X1"]]),
+            (["--path", A1_RAW_ROUTE], [["A1", "B1"], ["E2", "X1"]]),
         ],
         ids=[
             "assignment",
@@ -193,6 +201,9 @@ class TestCheck:
             "path-main-hop",
             "assignment-both",
             "path-both",
+            "raw-path",
+            "raw-path-main-hop",
+            "raw-path-both",
         ],
     )
     def test_plan_over_a_removed_edge_malformed(self, compiled, capsys, plan, edges):
@@ -247,9 +258,9 @@ class TestCheck:
     )
     def test_json_verdict_one_shape_in_both_modes(self, tmp_path, kind, keys, capsys):
         # A1's plan is its route plus every preload, the plan `--path`
-        # assumes: both modes print one payload for it, `path` aside.  A
-        # loaded plan carries `overloads` (`[]` when feasible); a malformed
-        # one carries the defect instead.
+        # assumes: both modes print one payload for it, `path` aside, and so
+        # does its route by raw indices.  A loaded plan carries `overloads`
+        # (`[]` when feasible); a malformed one carries the defect instead.
         inst = tmp_path / "worked.json"
         caps = ["--caps", "v2=2"] if kind == "overloaded" else []
         cnf = str(FIXTURES / "worked_example.cnf")
@@ -260,12 +271,17 @@ class TestCheck:
             inst.write_text(json.dumps(data))
         capsys.readouterr()
         payloads = []
-        for plan in (["--assignment", A1_LITERALS], ["--path", A1_ROUTE]):
+        plans = (
+            ["--assignment", A1_LITERALS],
+            ["--path", A1_ROUTE],
+            ["--path", A1_RAW_ROUTE],
+        )
+        for plan in plans:
             code = main(["check", "--instance", str(inst), *plan, "--json"])
             assert code == (kind != "feasible")
             payloads.append(json.loads(capsys.readouterr().out))
         del payloads[0]["path"]  # the assignment's route, in paper names
-        assert payloads[0] == payloads[1]
+        assert payloads[0] == payloads[1] == payloads[2]
         assert payloads[0]["verdict"] == kind and set(payloads[0]) == keys
         assert (payloads[0].get("overloads") == []) == (kind == "feasible")
 
@@ -759,22 +775,37 @@ class TestVerify:
         assert captured.err == f"error: bad capacity override {caps!r}\n"
 
     def test_max_sat_mismatch_fails(self, capsys, tmp_path, monkeypatch):
-        # A MAX-SAT oracle that undercounts by one must fail the run through
-        # max_match alone: the admission side still agrees.
+        # A MAX-SAT oracle that undercounts by one fails every trial's
+        # max_match.  Satisfiability is that count reaching m, so on the
+        # golden run's satisfiable trials it fails agreement too: the network
+        # still admits m + 1 flows.  Its unsatisfiable trials still agree.
         def undercount(formula):
             count, best = max_sat_brute(formula)
             return count - 1, best
 
         monkeypatch.setattr(satnc.harness, "max_sat_brute", undercount)
         code = main(
-            ["verify", "--vars", "3", "--clauses", "2", "--k", "2",
-             "--trials", "2", "--seed", "3", "--witness-dir", str(tmp_path)]
+            ["verify", "--vars", "3", "--clauses", "7", "--k", "2",
+             "--trials", "30", "--seed", "2", "--witness-dir", str(tmp_path)]
         )
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "agreed=2" in out and "max_matches=0" in out
-        assert "verdict: FAIL" in out
-        assert len(list(tmp_path.glob("witness-trial-*.json"))) == 2
+        out = capsys.readouterr().out.splitlines()
+        golden = json.loads((FIXTURES / "verify_3_7_2_seed2.json").read_text())
+        records = golden["records"]
+        assert code == 1 and len(out) == len(records) + 2
+        assert {r["satisfiable"] for r in records} == {True, False}
+        for line, r in zip(out, records):
+            assert line.startswith(f"trial {r['trial']:03d}: seed={r['seed']} ")
+            agree = "NO" if r["satisfiable"] else "yes"
+            assert f" sat=no nc={r['nc_accepted']} expected=7 " in line
+            assert line.endswith(
+                f" agree={agree} max={r['max_traversable']}/{r['max_sat'] - 1}"
+            )
+        agreed = sum(not r["satisfiable"] for r in records)
+        assert out[-2:] == [
+            f"summary: trials=30 agreed={agreed} audits_passed=30 max_matches=0",
+            "verdict: FAIL",
+        ]
+        assert len(list(tmp_path.glob("witness-trial-*.json"))) == 30
 
     def test_vars_over_bound_exit_2(self, capsys):
         code = main(

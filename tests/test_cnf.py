@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 from satnc import (
     DimacsParseError,
     Formula,
-    brute_sat,
     emit_dimacs,
     eval_formula,
     lint_formula,
@@ -84,25 +85,27 @@ class TestEval:
 
 
 class TestBruteSat:
+    """Satisfiability by brute force: the MAX-SAT optimum reaches m."""
+
     def test_unsat_pair(self):
         f = Formula.from_clauses(1, [(1,), (-1,)])
-        assert brute_sat(f) is None
+        assert max_sat_brute(f)[0] < len(f.clauses)
 
     def test_worked_example_witness(self):
         f = Formula.from_clauses(6, WORKED_CLAUSES)
-        witness = brute_sat(f)
-        assert witness is not None
+        count, witness = max_sat_brute(f)
+        assert count == len(f.clauses) == 3
         assert eval_formula(f, witness) == 3
         assert eval_formula(f, A1) == 3  # the known witness also works
 
     def test_empty_clause_list_vacuous(self):
         f = Formula.from_clauses(2, [])
-        assert brute_sat(f) == {1: False, 2: False}
+        assert max_sat_brute(f) == (0, {1: False, 2: False})
 
     def test_bound_refusal(self):
         f = Formula.from_clauses(30, [(1, 2)])
         with pytest.raises(ValueError, match="exhaustive bound"):
-            brute_sat(f)
+            max_sat_brute(f)
 
 
 class TestMaxSatBrute:
@@ -172,10 +175,18 @@ def test_round_trip_identity(f):
 @given(formulas)
 @settings(max_examples=150, deadline=None)
 def test_sat_iff_maxsat_full(f):
+    # The formula is satisfiable exactly when the optimum reaches m, and the
+    # witness is then the first satisfying assignment in lexicographic order
+    # (v1 most significant, false before true).
     count, witness = max_sat_brute(f)
     assert count <= len(f.clauses)
     assert eval_formula(f, witness) == count
-    assert (brute_sat(f) is not None) == (count == len(f.clauses))
+    every = (
+        dict(zip(range(1, f.var_count + 1), bits))
+        for bits in itertools.product((False, True), repeat=f.var_count)
+    )
+    first = next((a for a in every if eval_formula(f, a) == len(f.clauses)), None)
+    assert first == (witness if count == len(f.clauses) else None)
 
 
 @given(formulas, st.integers(0, 1000))
@@ -204,10 +215,9 @@ def raw_formulas(draw):
 @given(formulas | raw_formulas())
 @settings(max_examples=200, deadline=None)
 def test_max_sat_matches_independent_oracle(f):
-    # The in-package SAT and MAX-SAT oracles share their clause bitmasks;
-    # the test oracle re-derives the optimum from the clause lists alone.
+    # The in-package oracle walks clause bitmasks; the test oracle
+    # re-derives the optimum from the clause lists alone.
     expected = exhaustive_max_sat(f.clauses, f.var_count)
     count, witness = max_sat_brute(f)
     assert count == expected
     assert eval_formula(f, witness) == expected
-    assert (brute_sat(f) is None) == (expected < len(f.clauses))

@@ -16,7 +16,6 @@ from satnc import (
     RouteAssignment,
     RoutePlan,
     assignment_plan,
-    brute_sat,
     check_feasible,
     compile_formula,
     enum_paths,
@@ -44,6 +43,23 @@ def demand_instance(net, demands):
         FlowRequest(s, t, copies, f"d{i}") for i, (s, t, copies) in enumerate(demands)
     )
     return plain_instance(net, flows)
+
+
+def assert_unbounded_is_endpoint_capped(solve, net, demands):
+    """An unbounded demand solves as the demand of min(cap[src], cap[dst])
+    copies, at least one (a count must be positive; an endpoint without
+    room carries none either way): the same plan, by flow label, the same
+    certificate and the same node count."""
+    cap = net.capacity
+    capped = [(s, t, c or max(1, min(cap[s], cap[t]))) for s, t, c in demands]
+
+    def shape(result):
+        plan = [(a.flow.label, a.copy, a.path) for a in result.plan.assignments]
+        return plan, result.optimal, result.nodes_explored, result.budget_hit
+
+    unbounded = solve(demand_instance(net, demands))
+    assert shape(unbounded) == shape(solve(demand_instance(net, capped)))
+    return unbounded
 
 
 class TestEnumPaths:
@@ -292,9 +308,10 @@ class TestRootCertificate:
         self, monkeypatch, worked_formula, shape
     ):
         f = worked_formula if shape is None else random_formula(*shape)
-        assert brute_sat(f) is not None
+        count, best = max_sat_brute(f)
+        assert count == len(f.clauses)
         inst = compile_formula(f)
-        start = assignment_plan(inst, max_sat_brute(f)[1])
+        start = assignment_plan(inst, best)
         assert len(start) == len(f.clauses) + 1  # the root bound: m + 1
 
         def no_search(*args, **kwargs):
@@ -464,7 +481,8 @@ def test_greedy_matches_reference_greedy(seed):
     spare = max(net.capacity.values()) + 1
     finite = [(s, t, c or spare) for s, t, c in demands]
     expected = reference_greedy(net.nodes, net.edges(), dict(net.capacity), finite)
-    assert [(a.flow, a.path) for a in solve_greedy(inst).plan.assignments] == [
+    result = assert_unbounded_is_endpoint_capped(solve_greedy, net, demands)
+    assert [(a.flow, a.path) for a in result.plan.assignments] == [
         (inst.flows[di], path) for di, path in expected
     ]
 
@@ -533,7 +551,7 @@ def test_exact_unbounded_matches_oracle(seed):
         (*rng.sample(net.nodes, 2), rng.choice([None, 1]))
         for _ in range(rng.randint(1, 2))
     ]
-    result = solve_exact(demand_instance(net, demands))
+    result = assert_unbounded_is_endpoint_capped(solve_exact, net, demands)
     assert result.optimal
     spare = max(net.capacity.values()) + 1
     finite = [(s, t, c or spare) for s, t, c in demands]
