@@ -364,16 +364,11 @@ def classify_path(inst: NcInstance, p: Path) -> FeasibilityVerdict:
 
 
 @dataclass(frozen=True)
-class ClauseAudit:
-    """A clause's slack report; ``AuditReport.failures`` is the verdict."""
-
-    clause: int
-    margins: Mapping[str, int]  # min (capacity - load) per node subset
-
-
-@dataclass(frozen=True)
 class AuditReport:
-    clauses: tuple[ClauseAudit, ...]
+    """The audit's verdict, empty when the gadget holds.  Failures come in
+    clause order; within a clause, the overloaded segment nodes in walk
+    order, then the bypass, then each conflict pair."""
+
     failures: tuple[str, ...] = ()
 
     @property
@@ -389,14 +384,16 @@ def audit(inst: NcInstance) -> AuditReport:
     through a conflict node overloads it; (4) transmitting from both
     literal nodes of a complementary pair overloads their conflict node.
     All computed by exact load arithmetic on the relevant hops, on the
-    watched nodes only: a clause's context load once, then each segment's
-    transmitters from per-position tables of the watched nodes they load.
-    The failures are the verdict; each clause's margins are its slack report.
+    watched nodes only.  A segment transmits from the entry, one pre node,
+    some literal nodes and one post node, so (2) first takes one peak per
+    watched node: the clause's context load, the entry's, the pre nodes'
+    load counted once, the post nodes' counted once and every literal
+    node's.  Only when some node's peak does not fit are the realizable
+    segments walked one by one, each node reported at its first overload.
     """
     formula = _require_compiled(inst)
     cap = inst.network.capacity
     tx = inst.network.transmit_sets
-    info = inst.info
     m = len(formula.clauses)
     lits = [
         [lit_id(i, j) for j in range(1, len(clause) + 1)]
@@ -416,7 +413,6 @@ def audit(inst: NcInstance) -> AuditReport:
             from_a + 1 > cap[k],
         )
 
-    records: list[ClauseAudit] = []
     failures: list[str] = []
     for i, clause in enumerate(formula.clauses, 1):
         pairs = inst.pairs_by_clause.get(i, ())
@@ -445,31 +441,31 @@ def audit(inst: NcInstance) -> AuditReport:
             for n in reach[u]:
                 room[n] -= 1
 
-        least = room[:]  # per watched node, its least margin over the segments
+        peak = room[:]
+        pre, post = set(), set()
+        for p, lit, q in chains:
+            pre.update(reach[p])
+            post.update(reach[q])
+            for n in reach[lit]:
+                peak[n] -= 1
+        for n in [*reach[e], *pre, *post]:
+            peak[n] -= 1
         overloaded: list[int] = []  # in the order the segments overload them
-        for trues in clause_true_sets(clause):
-            # Transmitters e, the first true position's pre node, the true
-            # literal nodes and the last one's post node.
-            margin = room[:]
-            hits = reach[e] + reach[chains[trues[0] - 1][0]]
-            for j in trues:
-                hits += reach[chains[j - 1][1]]
-            hits += reach[chains[trues[-1] - 1][2]]
-            for n in hits:  # only a loaded node's margin can fall below room
-                left = margin[n] = margin[n] - 1
-                if left < least[n]:
-                    least[n] = left
-            if min(margin) < 0:
+        if min(peak) < 0:  # some segment may overload: walk them all
+            for trues in clause_true_sets(clause):
+                # Transmitters e, the first true position's pre node, the
+                # true literal nodes and the last one's post node.
+                margin = room[:]
+                hits = reach[e] + reach[chains[trues[0] - 1][0]]
+                for j in trues:
+                    hits += reach[chains[j - 1][1]]
+                for n in hits + reach[chains[trues[-1] - 1][2]]:
+                    margin[n] -= 1
                 overloaded += [
                     n
                     for n, left in enumerate(margin)
                     if left < 0 and n not in overloaded
                 ]
-        margins: dict[str, int] = {}
-        for v, left in zip(watch, least):
-            subset = info[v].subset
-            if subset not in margins or left < margins[subset]:
-                margins[subset] = left
         failures += [
             f"clause {i}: intended segment overloads {watch[n]}" for n in overloaded
         ]
@@ -483,5 +479,4 @@ def audit(inst: NcInstance) -> AuditReport:
                 failures.append(f"clause {i}: conflict not blocked ({k})")
             if not through:
                 failures.append(f"clause {i}: conflict through-route not blocked ({k})")
-        records.append(ClauseAudit(i, margins))
-    return AuditReport(tuple(records), tuple(failures))
+    return AuditReport(tuple(failures))

@@ -317,9 +317,9 @@ def solve_exact(
 
 
 def _check_start(inst: NcInstance, start: RoutePlan, required: Collection[int]) -> None:
-    routed = {a.flow for a in start.assignments}
+    routed, demanded = {a.flow for a in start.assignments}, set(inst.flows)
     for a in start.assignments:
-        if a.flow not in inst.flows or (
+        if a.flow not in demanded or (
             a.flow.copies is not None and a.copy >= a.flow.copies
         ):
             raise ValueError(

@@ -4,17 +4,16 @@ Everything here is written from the ground rules only: adjacency is an
 edge-list scan, interference membership is re-derived per node, path
 enumeration is plain recursion, the plan optimum is an exhaustive sweep,
 and the greedy plan picks from the full path list.  Nothing imports the package's load or search code; the reference
-audit borrows only the compiler's node names and report types.
+audit borrows only the compiler's node names.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 from satnc.gadget import (
     TERMINAL,
-    AuditReport,
-    ClauseAudit,
     bypass_id,
     conflict_id,
     entry_id,
@@ -187,7 +186,16 @@ def _realizable_true_sets(clause) -> list[tuple[int, ...]]:
     return sorted(seen)
 
 
-def reference_audit(inst) -> AuditReport:
+class ReferenceAudit(NamedTuple):
+    """The reference audit's failures plus its slack report: per clause,
+    each node subset's least capacity-minus-load over the clause's
+    realizable segments."""
+
+    failures: tuple[str, ...]
+    margins: tuple[dict[str, int], ...]
+
+
+def reference_audit(inst) -> ReferenceAudit:
     """The gadget audit as first written: one full load sum per candidate
     route, every watched node read for every segment, and each conflict
     pair checked from both of its clauses."""
@@ -249,5 +257,5 @@ def reference_audit(inst) -> AuditReport:
             if through.get(k, 0) <= cap[k]:
                 failures.append(f"clause {i}: conflict through-route not blocked ({k})")
 
-        records.append(ClauseAudit(i, margins))
-    return AuditReport(tuple(records), tuple(failures))
+        records.append(margins)
+    return ReferenceAudit(tuple(failures), tuple(records))
