@@ -213,7 +213,7 @@ def compile_formula(
         raise ValueError("cannot compile an empty formula")
     m = len(formula.clauses)
     chain, literal = caps.entry_exit, caps.literal
-    table: list[NodeInfo] = []
+    rows: list[tuple[str, str | None, str]] = []  # the node table's rows
     cap: dict[str, int] = {}
     edges: list[tuple[str, str]] = []
     lits: list[list[str]] = []  # per clause, its literal nodes by position
@@ -223,21 +223,21 @@ def compile_formula(
         e, x, b = entry_id(i), exit_id(i), bypass_id(i)
         if i > 1:
             edges.append((exit_id(i - 1), e))
-        table += (NodeInfo(e, f"n_1^{i}", "V1"), NodeInfo(x, f"n_4^{i}", "V1"))
+        rows += ((e, f"n_1^{i}", "V1"), (x, f"n_4^{i}", "V1"))
         cap[e] = cap[x] = chain
         row = []
         for j in range(1, width + 1):
             p, lit, q = prelit_id(i, j), lit_id(i, j), postlit_id(i, j)
-            table += (
-                NodeInfo(p, f"n_{3 * j + 2}^{i}", "V3"),
-                NodeInfo(lit, f"n_{3 * j + 3}^{i}", "V2"),
-                NodeInfo(q, f"n_{3 * j + 4}^{i}", "V3"),
+            rows += (
+                (p, f"n_{3 * j + 2}^{i}", "V3"),
+                (lit, f"n_{3 * j + 3}^{i}", "V2"),
+                (q, f"n_{3 * j + 4}^{i}", "V3"),
             )
             cap[p] = cap[q] = chain
             cap[lit] = literal
             edges += ((e, p), (p, lit), (lit, q), (q, x))
             row.append(lit)
-        table.append(NodeInfo(b, f"n_{3 * width + 5}^{i}", "V4"))
+        rows.append((b, f"n_{3 * width + 5}^{i}", "V4"))
         cap[b] = caps.bypass
         edges += ((e, b), (b, x))
         edges += itertools.combinations(row, 2)
@@ -246,24 +246,24 @@ def compile_formula(
     pairs = conflict_pairs(formula)
     for index, (ci, cj), (ni, nj) in pairs:
         k = conflict_id(index)
-        table.append(NodeInfo(k, f"n_{index}", "V5"))
+        rows.append((k, f"n_{index}", "V5"))
         cap[k] = caps.conflict
         edges += ((k, lits[ci - 1][cj - 1]), (k, lits[ni - 1][nj - 1]))
     sources = [preload_src_id(i) for i in range(1, m + 1)]
     for i, (a, b) in enumerate(zip(sources, bypasses), 1):
-        table.append(NodeInfo(a, f"A_{i}", "aux"))
+        rows.append((a, f"A_{i}", "aux"))
         cap[a] = caps.preload_src
         edges.append((a, b))
-    table.append(NodeInfo(TERMINAL, None, "aux"))
+    rows.append((TERMINAL, None, "aux"))
     cap[TERMINAL] = caps.terminal
     edges.append((exit_id(m), TERMINAL))
 
-    network = Network([n.id for n in table], edges, cap)
+    network = Network([row[0] for row in rows], edges, cap)
     flows = tuple(
         FlowRequest(a, b, 1, f"preload-{i}")
         for i, (a, b) in enumerate(zip(sources, bypasses), 1)
     ) + (FlowRequest(entry_id(1), TERMINAL, None, "main"),)
-    inst = NcInstance(network, flows, tuple(table), formula)
+    inst = NcInstance(network, flows, tuple(map(NodeInfo._make, rows)), formula)
     inst.__dict__["conflicts"] = pairs  # the cached property, built above
     return inst
 
@@ -319,8 +319,11 @@ def assignment_plan(inst: NcInstance, a: Assignment) -> RoutePlan:
     satisfies, plus the main flow crossing each satisfied clause through its
     true literals and each unsatisfied one over the freed bypass.
 
-    It accepts 1 + (satisfied clauses) copies and, under the default
-    capacities, is feasible for every assignment.
+    It accepts 1 + (satisfied clauses) copies.  Under the default
+    capacities it is feasible for every assignment when no clause is wider
+    than 4: a segment through all w literals of a clause loads its first
+    literal node w + 1 times, one more than the default literal capacity
+    holds from w = 5 on (ROADMAP.md, direction 1).
     """
     formula = _require_compiled(inst)
     _require_total(formula, a)
@@ -388,8 +391,10 @@ def audit(inst: NcInstance) -> AuditReport:
     some literal nodes and one post node, so (2) first takes one peak per
     watched node: the clause's context load, the entry's, the pre nodes'
     load counted once, the post nodes' counted once and every literal
-    node's.  Only when some node's peak does not fit are the realizable
-    segments walked one by one, each node reported at its first overload.
+    node's.  A node hears exactly the transmitters in its own transmit
+    tuple, so each peak is read off that tuple in one pass.  Only when some
+    node's peak does not fit are the realizable segments walked one by one,
+    each node reported at its first overload.
     """
     formula = _require_compiled(inst)
     cap = inst.network.capacity
@@ -425,33 +430,33 @@ def audit(inst: NcInstance) -> AuditReport:
         watch += [pair_blocks[p.index][0] for p in pairs]
         if i == m:
             watch.append(TERMINAL)
-        slot = {v: n for n, v in enumerate(watch)}
         # The context: the preload, the chain hop in, the chain hop out, and
         # the next entry's first transmission (it reaches this clause's exit).
         context = [a, exit_id(i - 1), x] if i > 1 else [a, x]
         if i < m:
             context.append(entry_id(i + 1))
-        # Per transmitter, the watched slots one transmission from it loads.
-        reach = {
-            u: [n for n in map(slot.get, tx[u]) if n is not None]
-            for u in [e, *itertools.chain(*chains), *context]
-        }
-        room = [cap[v] for v in watch]
-        for u in context:
-            for n in reach[u]:
-                room[n] -= 1
-
-        peak = room[:]
-        pre, post = set(), set()
+        # Each transmitter's role: 0 context, 1 entry or literal, 2 pre, 3
+        # post; a node's room is left after the context, its peak after
+        # every segment, pre and post nodes counted once.
+        role = dict.fromkeys(context, 0)
+        role[e] = 1
         for p, lit, q in chains:
-            pre.update(reach[p])
-            post.update(reach[q])
-            for n in reach[lit]:
-                peak[n] -= 1
-        for n in [*reach[e], *pre, *post]:
-            peak[n] -= 1
+            role[p], role[lit], role[q] = 2, 1, 3
+        heard_by = role.get
+        room, peak = [], []
+        for v in watch:
+            heard = list(map(heard_by, tx[v]))
+            left = cap[v] - heard.count(0)
+            room.append(left)
+            peak.append(left - heard.count(1) - (2 in heard) - (3 in heard))
         overloaded: list[int] = []  # in the order the segments overload them
         if min(peak) < 0:  # some segment may overload: walk them all
+            slot = {v: n for n, v in enumerate(watch)}
+            # Per transmitter, the watched slots one transmission from it loads.
+            reach = {
+                u: [n for n in map(slot.get, tx[u]) if n is not None]
+                for u in [e, *itertools.chain(*chains)]
+            }
             for trues in clause_true_sets(clause):
                 # Transmitters e, the first true position's pre node, the
                 # true literal nodes and the last one's post node.
@@ -471,7 +476,7 @@ def audit(inst: NcInstance) -> AuditReport:
         ]
 
         # The route e -> bypass -> x: transmitters e and the bypass itself.
-        if (bypass in tx[e]) + 1 <= room[slot[bypass]]:
+        if (bypass in tx[e]) + 1 <= room[2]:  # watch[2] is the bypass
             failures.append(f"clause {i}: bypass not blocked")
         for pair in pairs:
             k, conflict, through = pair_blocks[pair.index]

@@ -38,25 +38,17 @@ class _Router:
     id tuples do; adjacency lists and transmit sets are tuples of indices.
     The search reads and writes a caller's ``room`` list, indexed the same
     way: ``room[v]`` is how many more transmissions node ``v`` can hear.
-    ``ids``, ``index`` and ``capacity`` are built at once; the transmit
-    sets, the adjacency lists and the component labels are built on first
-    use, so a solve that its root bound settles never builds them.
+    The component labels are built on first use; ``solve_greedy`` never
+    reads them.
     """
 
     def __init__(self, net: Network) -> None:
-        self.net = net
         self.ids = ids = tuple(sorted(net.nodes))
-        self.index = {v: i for i, v in enumerate(ids)}
+        self.index = index = {v: i for i, v in enumerate(ids)}
         self.capacity = tuple(map(net.capacity.__getitem__, ids))
-
-    @functools.cached_property
-    def tx(self) -> tuple[tuple[int, ...], ...]:
-        index, tx = self.index, self.net.transmit_sets
-        return tuple(tuple(map(index.__getitem__, tx[v])) for v in self.ids)
-
-    @functools.cached_property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(sorted(t[1:])) for t in self.tx)
+        tx = net.transmit_sets
+        self.tx = tuple(tuple(map(index.__getitem__, tx[v])) for v in ids)
+        self.adj = tuple(tuple(sorted(t[1:])) for t in self.tx)
 
     def path_ids(self, path: tuple[int, ...]) -> Path:
         return tuple(map(self.ids.__getitem__, path))
@@ -169,23 +161,6 @@ class _Router:
                     room[v] += 1
 
 
-def enum_paths(
-    net: Network, s: str, t: str, limit: int | None = None
-) -> tuple[list[Path], bool]:
-    """Elementary s-t paths whose own load fits the network's capacities,
-    in lexicographic order: at most ``limit`` of them, plus a flag telling
-    whether more were left out.  The search runs in the room ``solve_exact``
-    starts from, so a prefix that would overload a node is cut at once."""
-    if s == t:
-        raise ValueError("source equals destination")
-    net._require(s)
-    net._require(t)
-    router = _Router(net)
-    found = router.paths(router.index[s], router.index[t], list(router.capacity))
-    paths = [router.path_ids(p) for p in itertools.islice(found, limit)]
-    return paths, next(found, None) is not None
-
-
 def solve_exact(
     inst: NcInstance,
     budget: int = DEFAULT_NODE_BUDGET,
@@ -206,13 +181,12 @@ def solve_exact(
     first incumbent, so the bound prunes against it from the root.  A start
     that is not feasible raises ``InfeasibleStart``; one that routes a copy
     the instance does not demand, or misses a required flow, raises a plain
-    ``ValueError``.  The
-    root bound is tested before any path is searched, with every flow
-    counted as routable; only when it fails to prune does one search per
-    flow settle which flows have a path, and only then are the router's
-    transmit sets, adjacency lists and component labels built.  A start
-    that meets the bound is certified by that one comparison.  The result
-    is optimal unless the node budget (at least 1) ran out; when no plan
+    ``ValueError``.  The root bound is tested first, on the network's
+    capacities, with every flow counted as routable.  A start that meets it
+    is certified by that one comparison and returned as it is, with no
+    router built.  Otherwise the router is built, one search per flow
+    settles which flows have a path, and the search starts.  The result is
+    optimal unless the node budget (at least 1) ran out; when no plan
     routes every required flow, it accepts 0 copies with an empty plan.
 
     The residual capacity is one list, ``room[v] = capacity - load``: a
@@ -226,10 +200,11 @@ def solve_exact(
     if not required <= set(range(len(inst.flows))):
         raise ValueError(f"required flow indices out of range: {sorted(required)}")
     net = inst.network
-    router = _Router(net)
-    room = list(router.capacity)
     copies = [math.inf if f.copies is None else f.copies for f in inst.flows]
-    ends = [(router.index[f.src], router.index[f.dst]) for f in inst.flows]
+    # At the root the room is the capacity, read by node id; once the router
+    # is built, ``room`` and ``ends`` are its residual list and node indices.
+    room = net.capacity
+    ends = [(f.src, f.dst) for f in inst.flows]
     routable = [True] * len(ends)  # whether each flow has a path at the root
     # A copy loads its source twice unless s-t is one hop: the second
     # transmitter is in the source's range.  Its destination hears one.
@@ -258,6 +233,17 @@ def solve_exact(
             total += min(copies[g], endpoint_ub(g))
         return total
 
+    # Every flow counts as routable at the root: that bound is never below
+    # the exact one, so it prunes only where the exact one would.  Otherwise
+    # one path search per flow settles which are, and ``enter`` tests the
+    # root again with the exact bound.
+    if inst.flows and supply_bound(0, 0) <= best_count:
+        return SolveResult(start, optimal=True, nodes_explored=1)
+    router = _Router(net)
+    room = list(router.capacity)
+    ends = [(router.index[s], router.index[t]) for s, t in ends]
+    routable = [next(router.paths(s, t, room), None) is not None for s, t in ends]
+
     # Depth-first without recursion.  A frame routes copy ``ci`` of flow
     # ``fi`` over each of its paths in turn, with copy ``ci + 1`` as the
     # child branch, then stops routing the flow and moves on in its place.
@@ -282,12 +268,6 @@ def solve_exact(
         paths = router.paths(*ends[fi], room, floor) if ci < copies[fi] else iter(())
         stack.append([fi, ci, accepted, paths, None])  # last: the routed path
 
-    # Every flow counts as routable until the root bound fails to prune:
-    # that bound is never below the exact one, so it prunes only where the
-    # exact one would.  Otherwise one path search per flow settles which are,
-    # and ``enter`` tests the root again with the exact bound.
-    if inst.flows and supply_bound(0, 0) > best_count:
-        routable = [next(router.paths(s, t, room), None) is not None for s, t in ends]
     enter(0, 0, (), 0)
     while stack and explored <= budget:
         frame = stack[-1]

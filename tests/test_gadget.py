@@ -13,6 +13,7 @@ from satnc import (
     CapacityPreset,
     Formula,
     NcInstance,
+    Network,
     RouteAssignment,
     RoutePlan,
     assignment_plan,
@@ -224,7 +225,10 @@ class TestAudit:
 def test_audit_matches_reference_audit():
     """Random formulas of widths 2-5, repeated and tautological literals
     included, under the default capacities and under random presets that
-    break the gadget: the failures, in order, equal the reference audit's."""
+    break the gadget: the failures, in order, equal the reference audit's.
+    Half the instances are rebuilt with a few random extra edges among the
+    gadget's nodes, so a load the audit reads off the heard node's transmit
+    tuple must be the one the reference charges from the transmitter."""
     rng = random.Random(7)
     kinds = (
         "intended segment overloads",
@@ -244,8 +248,15 @@ def test_audit_matches_reference_audit():
         if rng.random() < 0.7:
             caps = CapacityPreset(*(rng.randint(0, 6) for _ in range(6)))
         inst = compile_formula(Formula.from_clauses(n, clauses), caps)
+        extra = []
+        if rng.random() < 0.5:
+            nodes = inst.network.nodes
+            extra = [tuple(rng.sample(nodes, 2)) for _ in range(rng.randint(1, 4))]
+            edges = [*inst.network.edges(), *extra]
+            net = Network(nodes, edges, inst.network.capacity)
+            inst = NcInstance(net, inst.flows, inst.node_table, inst.formula)
         failures = audit(inst).failures
-        assert failures == reference_audit(inst).failures, (clauses, caps)
+        assert failures == reference_audit(inst).failures, (clauses, caps, extra)
         seen.update(kind for f in failures for kind in kinds if kind in f)
     assert seen == set(kinds)
 

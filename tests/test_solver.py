@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,7 +19,6 @@ from satnc import (
     assignment_plan,
     check_feasible,
     compile_formula,
-    enum_paths,
     inapprox_bound,
     load_instance,
     max_sat_brute,
@@ -62,24 +62,34 @@ def assert_unbounded_is_endpoint_capped(solve, net, demands):
     return unbounded
 
 
+def fitting_paths(net, s, t, limit=None):
+    """The s-t paths whose own load fits the network's capacities, as
+    ``_Router.paths`` lists them from the room ``solve_exact`` starts with:
+    at most ``limit`` of them, plus whether more were left out."""
+    router = _Router(net)
+    found = router.paths(router.index[s], router.index[t], list(router.capacity))
+    paths = [router.path_ids(p) for p in itertools.islice(found, limit)]
+    return paths, next(found, None) is not None
+
+
 class TestEnumPaths:
     def test_unique_path(self):
         net = path_graph("ABC")
-        paths, truncated = enum_paths(net, "A", "C")
+        paths, truncated = fitting_paths(net, "A", "C")
         assert paths == [("A", "B", "C")] and not truncated
 
     def test_cycle_order(self):
         net = make_network(
             ["A", "B", "C"], [("A", "B"), ("B", "C"), ("A", "C")], 10
         )
-        paths, _ = enum_paths(net, "A", "C")
+        paths, _ = fitting_paths(net, "A", "C")
         assert paths == [("A", "B", "C"), ("A", "C")]
 
     def test_tight_budget_empty(self):
         # B hears both A's and its own transmission: 2 > 1.
         caps = {"A": 9, "B": 1, "C": 9}
         net = make_network(["A", "B", "C"], [("A", "B"), ("B", "C")], caps)
-        paths, _ = enum_paths(net, "A", "C")
+        paths, _ = fitting_paths(net, "A", "C")
         assert paths == []
 
     def test_limit_truncation(self):
@@ -88,18 +98,18 @@ class TestEnumPaths:
             [("A", "B"), ("A", "C"), ("B", "D"), ("C", "D"), ("B", "C")],
             99,
         )
-        paths, truncated = enum_paths(net, "A", "D", limit=1)
+        paths, truncated = fitting_paths(net, "A", "D", limit=1)
         assert len(paths) == 1 and truncated
 
     def test_zero_capacity_source_admits_nothing(self):
         net = make_network(["A", "B"], [("A", "B")], {"A": 0, "B": 5})
-        paths, _ = enum_paths(net, "A", "B")
+        paths, _ = fitting_paths(net, "A", "B")
         assert paths == []
 
     def test_long_compiled_path_without_recursion(self):
         # 600 clauses put the terminal about 1,800 hops from the entry.
         inst = compile_formula(Formula.from_clauses(3, [(1, 2, 3)] * 600))
-        paths, truncated = enum_paths(inst.network, "E1", "T", limit=1)
+        paths, truncated = fitting_paths(inst.network, "E1", "T", limit=1)
         assert len(paths) == 1 and truncated
         assert paths[0][0] == "E1" and paths[0][-1] == "T"
 
@@ -109,7 +119,7 @@ class TestEnumPaths:
         clauses = [(-2, 1), (-4, 1, 4, 4), (-1, 1), (-4, -1, 1, -3)]
         clauses += [(-4, -1, 4, -2), (-1, 2), (1, -1, 1, 2)]
         net = compile_formula(Formula.from_clauses(4, clauses)).network
-        paths, truncated = enum_paths(net, "E1", "T", limit=50)
+        paths, truncated = fitting_paths(net, "E1", "T", limit=50)
         assert len(paths) == 50 and truncated
         caps = dict(net.capacity)
         assert all(naive_plan_feasible(net.nodes, net.edges(), caps, [p]) for p in paths)
@@ -119,7 +129,7 @@ class TestEnumPaths:
         net = make_network(
             ["A", "B", "C"], [("A", "B"), ("A", "C")], {"A": 5, "B": 5, "C": 0}
         )
-        paths, _ = enum_paths(net, "A", "B")
+        paths, _ = fitting_paths(net, "A", "B")
         assert paths == []
 
 
@@ -297,7 +307,7 @@ class TestRouterRoom:
 
 class TestRootCertificate:
     """A warm start that meets the root bound is proven optimal by that
-    bound alone, before any path is searched."""
+    bound alone, and returned as it is, before any router is built."""
 
     @pytest.mark.parametrize(
         "shape",  # (n, m, k, seed) of a random formula, or the worked example
@@ -314,14 +324,14 @@ class TestRootCertificate:
         start = assignment_plan(inst, best)
         assert len(start) == len(f.clauses) + 1  # the root bound: m + 1
 
-        def no_search(*args, **kwargs):
-            raise AssertionError("a path was searched")
+        def no_router(*args, **kwargs):
+            raise AssertionError("a router was built")
 
-        monkeypatch.setattr(_Router, "paths", no_search)
+        monkeypatch.setattr(satnc.solver, "_Router", no_router)
         result = solve_exact(inst, required={len(inst.flows) - 1}, start=start)
         assert result.optimal and not result.budget_hit
         assert result.nodes_explored == 1
-        assert result.plan == start
+        assert result.plan is start
 
     # (nodes_explored, accepted_count, optimal) of each trial's warm-started
     # solve with main required, as the solver gave them before the root
@@ -493,7 +503,7 @@ def test_enum_paths_equals_naive_enumerator(seed):
     rng = random.Random(seed)
     net = random_connected_network(rng, rng.randint(3, 7), cap_range=(5, 9))
     s, t = rng.sample(net.nodes, 2)
-    ours, truncated = enum_paths(net, s, t)
+    ours, truncated = fitting_paths(net, s, t)
     assert not truncated
     naive = [
         p
