@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 Assignment = dict[int, bool]
 
@@ -137,24 +136,6 @@ def realizable_true_sets(clause: tuple[int, ...]) -> list[tuple[int, ...]]:
         if trues:
             seen.add(trues)
     return sorted(seen)
-
-
-def clause_true_sets(clause: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """``realizable_true_sets(clause)``, memoized under the clause's pattern:
-    its variables renamed 1, 2, ... by first appearance, each signed so that
-    its first occurrence is positive.  Renaming or flipping a variable maps
-    assignments one to one, so clauses of one pattern share their sets."""
-    names: dict[int, int] = {}  # variable -> new name, signed as first seen
-    for lit in clause:
-        names.setdefault(abs(lit), len(names) + 1 if lit > 0 else -len(names) - 1)
-    return _pattern_true_sets(
-        tuple(names[lit] if lit > 0 else -names[-lit] for lit in clause)
-    )
-
-
-@lru_cache(maxsize=1024)
-def _pattern_true_sets(pattern: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    return tuple(realizable_true_sets(pattern))
 
 
 def eval_formula(f: Formula, a: Assignment) -> int:

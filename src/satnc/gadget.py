@@ -16,7 +16,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
-from .cnf import Assignment, Formula, _require_total, clause_true_sets, true_positions
+from .cnf import (
+    Assignment,
+    Formula,
+    _require_total,
+    realizable_true_sets,
+    true_positions,
+)
 from .model import (
     FeasibilityVerdict,
     FlowRequest,
@@ -67,10 +73,15 @@ def conflict_id(p: int) -> str:
 
 @dataclass(frozen=True)
 class CapacityPreset:
-    """Per-role node capacities; the defaults make the reduction sound."""
+    """Per-role node capacities; the defaults make the reduction sound.
+
+    ``literal=None`` gives each clause's literal nodes its width + 2: on a
+    segment through its clause, a literal node hears every literal of the
+    clause plus its own pre and post nodes, and no more.
+    """
 
     entry_exit: int = 3  # entry/exit nodes and the pre/post literal chain
-    literal: int = 5
+    literal: int | None = None
     bypass: int = 3
     conflict: int = 1
     preload_src: int = 1
@@ -212,7 +223,7 @@ def compile_formula(
     if not formula.clauses:
         raise ValueError("cannot compile an empty formula")
     m = len(formula.clauses)
-    chain, literal = caps.entry_exit, caps.literal
+    chain = caps.entry_exit
     rows: list[tuple[str, str | None, str]] = []  # the node table's rows
     cap: dict[str, int] = {}
     edges: list[tuple[str, str]] = []
@@ -220,6 +231,7 @@ def compile_formula(
     bypasses: list[str] = []
     for i, clause in enumerate(formula.clauses, 1):
         width = len(clause)
+        literal = width + 2 if caps.literal is None else caps.literal
         e, x, b = entry_id(i), exit_id(i), bypass_id(i)
         if i > 1:
             edges.append((exit_id(i - 1), e))
@@ -319,11 +331,8 @@ def assignment_plan(inst: NcInstance, a: Assignment) -> RoutePlan:
     satisfies, plus the main flow crossing each satisfied clause through its
     true literals and each unsatisfied one over the freed bypass.
 
-    It accepts 1 + (satisfied clauses) copies.  Under the default
-    capacities it is feasible for every assignment when no clause is wider
-    than 4: a segment through all w literals of a clause loads its first
-    literal node w + 1 times, one more than the default literal capacity
-    holds from w = 5 on (ROADMAP.md, direction 1).
+    It accepts 1 + (satisfied clauses) copies, and under the default
+    capacities it is feasible for every assignment.
     """
     formula = _require_compiled(inst)
     _require_total(formula, a)
@@ -394,7 +403,8 @@ def audit(inst: NcInstance) -> AuditReport:
     node's.  A node hears exactly the transmitters in its own transmit
     tuple, so each peak is read off that tuple in one pass.  Only when some
     node's peak does not fit are the realizable segments walked one by one,
-    each node reported at its first overload.
+    each node reported at its first overload; under the default capacities
+    every peak fits, so only capacity overrides walk.
     """
     formula = _require_compiled(inst)
     cap = inst.network.capacity
@@ -457,7 +467,7 @@ def audit(inst: NcInstance) -> AuditReport:
                 u: [n for n in map(slot.get, tx[u]) if n is not None]
                 for u in [e, *itertools.chain(*chains)]
             }
-            for trues in clause_true_sets(clause):
+            for trues in realizable_true_sets(clause):
                 # Transmitters e, the first true position's pre node, the
                 # true literal nodes and the last one's post node.
                 margin = room[:]

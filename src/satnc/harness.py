@@ -138,10 +138,8 @@ def run_verification(
         max_sat, best = max_sat_brute(formula)
         # The best assignment's plan accepts 1 + max_sat copies; as the first
         # incumbent it leaves the solver only the proof that none does better.
-        # The solver checks it; a start that overloads a node leaves the solve
-        # cold.  Under the default capacities that can happen only with a
-        # clause wider than 4 (ROADMAP.md, direction 1), and otherwise only
-        # under capacity overrides.
+        # The solver checks it; a start that overloads a node (only under
+        # capacity overrides) leaves the solve cold.
         main, start = len(inst.flows) - 1, assignment_plan(inst, best)
         try:
             with_main = solve_exact(inst, required=(main,), start=start)

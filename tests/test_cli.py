@@ -138,6 +138,17 @@ class TestCheck:
         assert code == 0
         assert out.endswith("\nverdict: feasible\n")
 
+    def test_all_true_width_5_clause_feasible(self, tmp_path, capsys):
+        # Its segment runs through all five literal nodes; L1.1 and L1.5 each
+        # hear six transmitters, which the width's literal capacity holds.
+        cnf, out = tmp_path / "w5.cnf", tmp_path / "w5.json"
+        cnf.write_text("p cnf 5 1\n1 2 3 4 5 0\n")
+        assert main(["compile", "--cnf", str(cnf), "--out", str(out)]) == 0
+        capsys.readouterr()
+        code = main(["check", "--instance", str(out), "--assignment", "1 2 3 4 5"])
+        assert code == 0
+        assert capsys.readouterr().out.endswith("\nverdict: feasible\n")
+
     def test_wrong_assignment_fails_clause_3(self, compiled, capsys):
         code = main(
             ["check", "--instance", str(compiled), "--assignment", A2_LITERALS]
@@ -699,6 +710,15 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 0
         assert "agreed=10" in out and "verdict: OK" in out
+
+    def test_width_5_run_agrees(self, capsys):
+        code = main(
+            ["verify", "--vars", "6", "--clauses", "3", "--k", "5",
+             "--trials", "8", "--seed", "1"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "agreed=8 audits_passed=8 max_matches=8" in out
 
     def test_byte_identical_runs(self, capsys):
         args = ["verify", "--vars", "3", "--clauses", "3", "--k", "3",

@@ -29,7 +29,7 @@ from satnc import (
     random_formula,
     solve_exact,
 )
-from satnc.cnf import clause_true_sets, realizable_true_sets
+from satnc.cnf import realizable_true_sets
 from conftest import A1, A2, BROKEN_PATH_RAW, omitted_preloads
 from oracles import reference_audit, subset_sizes
 
@@ -78,7 +78,8 @@ class TestCompileCounts:
     def test_capacities(self, worked_instance):
         net = worked_instance.network
         for info in worked_instance.node_table:
-            expected = {"V1": 3, "V2": 5, "V3": 3, "V4": 3, "V5": 1}.get(info.subset)
+            # Literal nodes get their clause's width + 2; every clause is 4 wide.
+            expected = {"V1": 3, "V2": 6, "V3": 3, "V4": 3, "V5": 1}.get(info.subset)
             if expected is not None:
                 assert net.capacity_of(info.id) == expected
         assert net.capacity_of("A1") == 1
@@ -174,26 +175,27 @@ class TestAudit:
         assert len(slack) == 3
         assert all(margin >= 0 for margins in slack for margin in margins.values())
 
-    def test_peak_bound_skips_the_segment_walk(self, monkeypatch):
-        # Under the default capacities the peak bound holds for width 3, so
-        # no segment is walked; width 4 exceeds it, walks and still passes.
-        def refuse(clause):
-            raise AssertionError("the segment walk ran")
-
-        monkeypatch.setattr(satnc.gadget, "clause_true_sets", refuse)
-        wide3 = Formula.from_clauses(4, [[1, -2, 3], [-1, 2, 4], [2, -3, -4]])
-        assert audit(compile_formula(wide3)).ok
-
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_literal_capacity_fits_every_width(self, monkeypatch, width):
+        # The default width + 2 fits the peak bound, so no segment is walked;
+        # max(width + 1, 3) is the least capacity the walk finds clean.  The
+        # second clause negates the first: every literal has a conflict node.
+        pos = tuple(range(1, width + 1))
+        f = Formula.from_clauses(width, [pos, tuple(-v for v in pos)])
         walked = []
 
         def record(clause):
             walked.append(clause)
-            return clause_true_sets(clause)
+            return realizable_true_sets(clause)
 
-        monkeypatch.setattr(satnc.gadget, "clause_true_sets", record)
-        wide4 = Formula.from_clauses(4, [[1, 2, 3], [-1, -2, 3, 4]])
-        assert audit(compile_formula(wide4)).ok
-        assert walked == [(-1, -2, 3, 4)]
+        monkeypatch.setattr(satnc.gadget, "realizable_true_sets", record)
+        assert audit(compile_formula(f)).ok
+        assert walked == []
+        least = max(width + 1, 3)
+        assert audit(compile_formula(f, CapacityPreset(literal=least))).ok
+        assert bool(walked) == (least < width + 2)
+        failures = audit(compile_formula(f, CapacityPreset(literal=least - 1))).failures
+        assert failures[0] == "clause 1: intended segment overloads L1.1"
 
     def test_raised_bypass_capacity_not_blocked(self, worked_formula):
         report = audit(compile_formula(worked_formula, CapacityPreset(bypass=5)))
@@ -259,14 +261,6 @@ def test_audit_matches_reference_audit():
         assert failures == reference_audit(inst).failures, (clauses, caps, extra)
         seen.update(kind for f in failures for kind in kinds if kind in f)
     assert seen == set(kinds)
-
-
-def test_true_set_memo_matches_direct_enumeration():
-    # Every clause of width 1-4 over variables 1-3, both polarities: the sets
-    # memoized under the clause's normalized pattern are the clause's own.
-    for width in range(1, 5):
-        for clause in itertools.product((1, -1, 2, -2, 3, -3), repeat=width):
-            assert clause_true_sets(clause) == tuple(realizable_true_sets(clause))
 
 
 class TestAssignmentPlan:
