@@ -7,7 +7,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable, Iterator
+from operator import itemgetter
+from typing import Callable, Collection, Iterable, Iterator
 
 from .gadget import NcInstance
 from .model import Network, Path, RouteAssignment, RoutePlan, check_feasible
@@ -40,6 +41,14 @@ class _Router:
     way: ``room[v]`` is how many more transmissions node ``v`` can hear.
     The component labels are built on first use; ``solve_greedy`` never
     reads them.
+
+    A trail node after ``s`` hears its predecessor's transmission and its
+    own, so with room never above capacity only nodes of capacity 2 or
+    more, and ``s`` and ``t``, can carry a path: call them relays.  The
+    separators of an ``s``-``t`` pair are the relays other than ``s`` and
+    ``t`` that every relay path from ``s`` to ``t`` passes; ``_separators``
+    finds them on first need and keeps them per pair, each with the key
+    ``paths`` files its failed states under.
     """
 
     def __init__(self, net: Network) -> None:
@@ -49,6 +58,8 @@ class _Router:
         tx = net.transmit_sets
         self.tx = tuple(tuple(map(index.__getitem__, tx[v])) for v in ids)
         self.adj = tuple(tuple(sorted(t[1:])) for t in self.tx)
+        self._keys: dict[tuple[int, int], list] = {}
+        self._unkeyed = (None,) * len(ids)
 
     def path_ids(self, path: tuple[int, ...]) -> Path:
         return tuple(map(self.ids.__getitem__, path))
@@ -91,6 +102,116 @@ class _Router:
                     label[v] = root
         return label
 
+    @functools.cached_property
+    def _relays(self) -> tuple[bytearray, tuple[tuple[int, tuple[int, ...]], ...]]:
+        """Which nodes have the capacity to relay, and each other node that
+        two or more of them hear, with those hearers."""
+        relay = bytearray(c >= 2 for c in self.capacity)
+        heard = []
+        for v, kids in enumerate(self.adj):
+            if not relay[v]:
+                hearers = tuple(h for h in kids if relay[h])
+                if len(hearers) > 1:
+                    heard.append((v, hearers))
+        return relay, tuple(heard)
+
+    def _separators(self, s: int, t: int) -> list[Callable[[list], tuple] | None]:
+        """Per node, the key of its failed states if it separates ``s`` from
+        ``t`` among the relays, else None.
+
+        One lowpoint depth-first walk from ``t`` over the relays (Hopcroft
+        and Tarjan) numbers them in preorder.  A node ``c`` on ``s``'s tree
+        path whose child toward ``s`` has low at least ``c``'s number cuts
+        that child's subtree, the s side, from the t side: every other
+        reached relay but ``c`` and ``t``.  A trail that reaches ``c`` got
+        there over the s side, so only the room of a node heard by relays
+        on both sides, a boundary node, can differ between two visits to
+        ``c`` within one search.  Relays on opposite sides are never
+        adjacent, so that is ``c`` itself or a node that cannot relay; ``s``,
+        on every trail, and ``t``, never pushed, count as hearers on neither
+        side.  A boundary node heard by one t-side relay ``x`` only decides
+        whether ``x`` is blocked, and is keyed by that; every other one by
+        its room.
+        """
+        keys = self._keys.get((s, t))
+        if keys is not None:
+            return keys
+        adj = self.adj
+        n = len(adj)
+        keys = self._keys[s, t] = [None] * n
+        static, heard = self._relays
+        relay = bytearray(static)
+        relay[s] = relay[t] = 1
+        # Preorder numbers from 1 (0: unreached), lowpoints and tree parents.
+        disc, low, parent = [0] * n, [0] * n, [t] * n
+        order = [t]
+        disc[t] = low[t] = 1
+        stack = [(t, iter(adj[t]))]
+        while stack:
+            u, kids = stack[-1]
+            for w in kids:
+                if not relay[w]:
+                    continue
+                if not disc[w]:
+                    order.append(w)
+                    disc[w] = low[w] = len(order)
+                    parent[w] = u
+                    stack.append((w, iter(adj[w])))
+                    break
+                if disc[w] < low[u]:
+                    low[u] = disc[w]
+            else:
+                stack.pop()
+                if low[u] < low[parent[u]]:
+                    low[parent[u]] = low[u]
+        if not disc[s]:
+            return keys  # no relay path at all
+        # The separators from t's side, each with its child toward s.
+        cuts = []
+        child, c = s, parent[s]
+        while c != t:
+            if low[child] >= disc[c]:
+                cuts.append((c, child))
+            child, c = c, parent[c]
+        cuts.reverse()
+        # The s sides nest, so a reached relay h is on the s side of the
+        # first inside[h] separators and, unless it is one, on the t side of
+        # every separator past after[h].  Unreached relays, s and t are
+        # hearers on no side: inside 0, after the last separator.
+        k = len(cuts)
+        inside, after = [0] * n, [k] * n
+        cut_child = dict.fromkeys(child for _, child in cuts)
+        for v in order[1:]:
+            after[v] = inside[v] = inside[parent[v]] + (v in cut_child)
+        for j, (c, _) in enumerate(cuts, 1):
+            after[c] = j
+        inside[s] = 0
+        after[s] = after[t] = k
+        raw: list[list[int]] = [[] for _ in cuts]
+        sole: list[list[tuple[int, int]]] = [[] for _ in cuts]
+        # Index j stands for separator j + 1: hearer h is on its s side if
+        # inside[h] > j, on its t side if after[h] <= j.
+        for v, hearers in heard:
+            if v == s or v == t:
+                continue
+            x, y, *_ = sorted(hearers, key=after.__getitem__)
+            top = max(map(inside.__getitem__, hearers))
+            second = min(after[y], top)
+            for j in range(after[x], second):
+                sole[j].append((v, x))
+            for j in range(second, top):
+                raw[j].append(v)
+        for j, (c, _) in enumerate(cuts):
+            hearers = [h for h in adj[c] if relay[h]]
+            far = [h for h in hearers if after[h] <= j]
+            if max(map(inside.__getitem__, hearers)) > j and far:
+                if len(far) == 1:
+                    sole[j].append((c, far[0]))
+                else:
+                    raw[j].append(c)
+            keys[c] = _state_key(c, raw[j], sole[j])
+        return keys
+
     def paths(
         self, s: int, t: int, room: list, floor: tuple[int, ...] = ()
     ) -> Iterator[tuple[int, ...]]:
@@ -105,7 +226,18 @@ class _Router:
         search but restored before every yield, so a caller sees its own
         values between resumptions, and a generator closed or dropped at a
         yield leaves nothing behind.  A caller may change ``room`` while the
-        generator is suspended if it restores it before resuming.
+        generator is suspended if it restores it before resuming.  No entry
+        of ``room`` may exceed the node's capacity: the separators rest on it.
+
+        The search remembers the states it has refuted.  A push of a
+        separator (see ``_separators``) reads the separator's key off
+        ``room``; a push whose key is already filed is undone at once, and a
+        separator's level that backtracks with no yield since its push files
+        its key.  The key holds every room the rest of a path through the
+        separator can depend on, so a filed state yields nothing again.
+        Levels resumed from ``floor`` file nothing, and the file lives as
+        long as the call: between calls a caller's charges change rooms that
+        the keys leave out.
         """
         adj, tx = self.adj, self.tx
         comp = self.component
@@ -135,12 +267,19 @@ class _Router:
             kids = adj[w]
         else:
             levels.append(iter(kids))
+        # The keys are looked up at the search's first push, so a search
+        # that pushes nothing builds no separators.  ``pushed[w]`` is the key
+        # and yield count of a keyed push of ``w`` still on the trail.
+        keys = pushed = unkeyed = self._unkeyed
+        failed: set[tuple] = set()
+        found = 0  # yields so far
         while levels:
             for w in levels[-1]:
                 if w == t:
                     self.charge(room, trail, 1)
                     yield (*trail, t)
                     self.charge(room, trail, -1)
+                    found += 1
                 elif not on_trail[w]:
                     txw = tx[w]
                     for v in txw:
@@ -149,6 +288,16 @@ class _Router:
                     else:
                         for v in txw:
                             room[v] -= 1
+                        if keys is unkeyed:
+                            keys, pushed = self._separators(s, t), [None] * len(adj)
+                        key_of = keys[w]
+                        if key_of is not None:
+                            key = key_of(room)
+                            if key in failed:
+                                for v in txw:
+                                    room[v] += 1
+                                continue
+                            pushed[w] = key, found
                         trail.append(w)
                         on_trail[w] = 1
                         levels.append(iter(adj[w]))
@@ -159,6 +308,25 @@ class _Router:
                 on_trail[u] = 0
                 for v in tx[u]:
                     room[v] += 1
+                mark = pushed[u]
+                if mark is not None:
+                    pushed[u] = None
+                    if mark[1] == found:
+                        failed.add(mark[0])
+
+
+def _state_key(
+    c: int, raw: list[int], sole: list[tuple[int, int]]
+) -> Callable[[list], tuple]:
+    """The key of a search state at separator ``c``: the room of each node
+    in ``raw``, and the t-side relays ``x`` that some ``(v, x)`` of ``sole``
+    blocks by having no room left at ``v``."""
+    rooms = itemgetter(*raw) if raw else lambda room: ()
+
+    def key(room: list) -> tuple:
+        return c, rooms(room), frozenset([x for v, x in sole if room[v] <= 0])
+
+    return key
 
 
 def solve_exact(

@@ -720,6 +720,18 @@ class TestVerify:
         assert code == 0
         assert "agreed=8 audits_passed=8 max_matches=8" in out
 
+    def test_unsat_run_at_25_clauses_certified(self, capsys):
+        # Every trial is unsatisfiable, so each one is a proof that main
+        # crosses no more than 24 of the 25 clause gadgets.
+        code = main(
+            ["verify", "--vars", "5", "--clauses", "25", "--k", "3",
+             "--trials", "5", "--seed", "1", "--json"]
+        )
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0 and report["ok"] and report["agreed"] == 5
+        assert all(r["solver_optimal"] for r in report["records"])
+        assert not any(r["satisfiable"] for r in report["records"])
+
     def test_byte_identical_runs(self, capsys):
         args = ["verify", "--vars", "3", "--clauses", "3", "--k", "3",
                 "--trials", "8", "--seed", "11", "--json"]

@@ -72,6 +72,89 @@ def fitting_paths(net, s, t, limit=None):
     return paths, next(found, None) is not None
 
 
+def count_memo_hits(router, s, t):
+    """Make every memo key of ``router``'s s-t search count the lookups
+    that find it filed; the count is the returned list's one entry."""
+    hits = [0]
+
+    class Key(tuple):
+        __hash__ = tuple.__hash__
+
+        def __eq__(self, other):
+            same = tuple.__eq__(self, other)
+            hits[0] += same
+            return same
+
+    keys = router._separators(s, t)
+    keys[:] = [key and (lambda room, key=key: Key(key(room))) for key in keys]
+    return hits
+
+
+def assert_floors_resume(net, s, t, routed=()):
+    """With the ``routed`` paths charged, from each s-t path as ``floor``
+    (and from none) ``_Router.paths`` lists the paths that fit beside them
+    from that floor on, and gives the room back.  Returns how many pushes
+    the failed-state memo refused."""
+    every = sorted(naive_simple_paths(net.nodes, net.edges(), s, t))
+    fitting = [
+        p
+        for p in every
+        if naive_plan_feasible(net.nodes, net.edges(), dict(net.capacity), [*routed, p])
+    ]
+    router = _Router(net)
+    si, ti = router.index[s], router.index[t]
+    hits = count_memo_hits(router, si, ti)
+    room = list(router.capacity)
+    for p in routed:
+        router.charge(room, map(router.index.__getitem__, p[:-1]), -1)
+    before = list(room)
+    for floor in [(), *every]:
+        found = router.paths(si, ti, room, tuple(router.index[v] for v in floor))
+        assert [router.path_ids(p) for p in found] == [p for p in fitting if p >= floor]
+    assert room == before
+    return hits[0]
+
+
+def block_chain(rng):
+    """Blocks of relays from s to t, each pair of neighbouring blocks joined
+    by a cut node heard by most of both and by bridge nodes of capacity 0 or
+    1 heard by one relay of each: graphs whose cut nodes separate s from t,
+    where the failed-state memo keys on their own room and on bridges."""
+    blocks = [
+        [f"b{i}.{j}" for j in range(rng.randint(1, 3))] for i in range(rng.randint(2, 4))
+    ]
+    blocks[0].insert(0, "s")
+    blocks[-1].append("t")
+    edges = set()
+    for block in blocks:
+        edges |= {(u, v) for u in block for v in block if u < v and rng.random() < 0.5}
+    for i, (a, b) in enumerate(itertools.pairwise(blocks)):
+        edges |= {(u, f"c{i}") for u in a + b if rng.random() < 0.8}
+        for j in range(rng.randint(0, 2)):
+            edges |= {(rng.choice(a), f"q{i}.{j}"), (rng.choice(b), f"q{i}.{j}")}
+    nodes = sorted({v for e in edges for v in e} | {"s", "t"})
+    caps = {v: rng.randint(0, 1) if v[0] == "q" else rng.randint(3, 5) for v in nodes}
+    return make_network(nodes, sorted(edges), caps)
+
+
+def compiled_main_search(rng):
+    """Main's search on a small compiled instance beside a random subset of
+    the preloads: the network, main's ends and the preloads' paths."""
+    inst = compile_formula(random_formula(rng.randint(2, 4), 3, 2, rng.randrange(10**6)))
+    *preloads, main = inst.flows
+    routed = [(f.src, f.dst) for f in preloads if rng.random() < 0.5]
+    return inst.network, main.src, main.dst, routed
+
+
+# Two triangles, s-a1-a2 and b1-b2-t, joined at the cut node c.
+TRIANGLES = [
+    ("s", "a1"), ("s", "a2"), ("a1", "a2"), ("a1", "c"), ("a2", "c"),
+    ("c", "b1"), ("c", "b2"), ("b1", "b2"), ("b1", "t"), ("b2", "t"),
+]
+# ... and a bridge node q that a1 and b1 hear.
+BRIDGED = [*TRIANGLES, ("a1", "q"), ("b1", "q")]
+
+
 class TestEnumPaths:
     def test_unique_path(self):
         net = path_graph("ABC")
@@ -164,6 +247,26 @@ class TestSolveExact:
         result = solve_exact(inst)
         assert result.accepted_count == 2 and result.optimal  # preloads only
 
+    def test_planted_width_4_core_certified(self):
+        # All 16 sign patterns over 4 variables: every assignment falsifies
+        # exactly one clause.  Main crosses at most 15 clause gadgets, and
+        # the search must refute a 16th under every preload.
+        clauses = [
+            tuple(v if positive else -v for v, positive in zip((1, 2, 3, 4), signs))
+            for signs in itertools.product((True, False), repeat=4)
+        ]
+        formula = Formula.from_clauses(4, clauses)
+        inst = compile_formula(formula)
+        max_sat, best = max_sat_brute(formula)
+        main = len(inst.flows) - 1
+        result = solve_exact(inst, required=(main,), start=assignment_plan(inst, best))
+        assert max_sat == 15
+        assert result.optimal and result.accepted_count == 1 + max_sat
+        # As ``verify`` reads it: the optimum with main reaches m, so it is
+        # the unconstrained one, and m is what an unsatisfiable formula
+        # admits.
+        assert result.accepted_count == len(clauses)
+
     def test_destination_in_another_component_rejected(self):
         # Two components: a-b-c and d-e.  Flows into the other component
         # have no path; the rest are routed.
@@ -255,6 +358,67 @@ class TestSolveExact:
         result = solve_exact(inst)
         assert check_feasible(inst.network, result.plan).ok
         assert result.accepted_count == len(result.plan.assignments)
+
+
+class TestSeparators:
+    """The failed-state memo of ``_Router.paths``: which nodes key it, what
+    the keys read, and that it loses no path."""
+
+    @staticmethod
+    def bridged(**caps):
+        nodes = sorted({v for e in BRIDGED for v in e})
+        return make_network(nodes, BRIDGED, {v: caps.get(v, 3) for v in nodes})
+
+    @staticmethod
+    def separators(net, s="s", t="t"):
+        router = _Router(net)
+        keys = router._separators(router.index[s], router.index[t])
+        return [router.ids[v] for v, key in enumerate(keys) if key is not None]
+
+    def test_cut_node_is_the_one_separator(self):
+        # A capacity-1 bridge cannot relay, so c cuts the blocks apart.
+        assert self.separators(self.bridged(q=1)) == ["c"]
+        # At capacity 2 it relays a1-q-b1 around c.
+        assert self.separators(self.bridged(q=2)) == []
+
+    def test_key_reads_only_boundary_rooms(self):
+        router = _Router(self.bridged(q=1))
+        c, q, a2, b2 = map(router.index.__getitem__, ("c", "q", "a2", "b2"))
+        key = router._separators(router.index["s"], router.index["t"])[c]
+        room = list(router.capacity)
+        base = key(room)
+
+        def moved(v, value):
+            return key([value if u == v else r for u, r in enumerate(room)])
+
+        # q, heard by a1 and by b1 alone on the t side, counts as blocking
+        # b1 or not; c, heard by b1 and b2, by its room.
+        assert moved(q, 0) != base
+        assert moved(c, 1) != base
+        # a2 relays on the s side and b2 on the t side: neither is read.
+        assert moved(a2, 0) == moved(b2, 1) == base
+
+    @pytest.mark.parametrize(
+        "edges, caps",
+        [
+            # c hears a1 and a2 when both are on the trail: none of its room
+            # is left for b1 or b2, though with one of them there is.
+            (BRIDGED, {"c": 3, "q": 1}),
+            # The floor through the capacity-1 b2 does not fit, and nothing
+            # after it through a1 and c does; through a2 and c, b1 does.
+            (
+                [("s", "a1"), ("s", "a2"), ("a1", "c"), ("a2", "c"),
+                 ("c", "b1"), ("c", "b2"), ("b1", "t"), ("b2", "t")],
+                {"b2": 1},
+            ),
+        ],
+        ids=["room-of-boundary-node", "floor-resumed-level"],
+    )
+    def test_memo_loses_no_path(self, edges, caps):
+        # Every other node has room to spare.
+        nodes = sorted({v for e in edges for v in e})
+        net = make_network(nodes, edges, {v: caps.get(v, 5) for v in nodes})
+        assert_floors_resume(net, "s", "t")
 
 
 class TestRouterRoom:
@@ -501,7 +665,7 @@ def test_greedy_matches_reference_greedy(seed):
 @settings(max_examples=40, deadline=None)
 def test_enum_paths_equals_naive_enumerator(seed):
     rng = random.Random(seed)
-    net = random_connected_network(rng, rng.randint(3, 7), cap_range=(5, 9))
+    net = random_connected_network(rng, rng.randint(3, 7), cap_range=(0, 9))
     s, t = rng.sample(net.nodes, 2)
     ours, truncated = fitting_paths(net, s, t)
     assert not truncated
@@ -520,22 +684,33 @@ def test_floor_resumes_the_naive_path_list(seed):
     # Node ids n0..n10 sort as strings (n10 before n2), so index order is
     # id order only if the router numbers nodes by sorted id.
     rng = random.Random(seed)
-    net = random_connected_network(rng, rng.randint(3, 11), cap_range=(2, 9))
-    s, t = rng.sample(net.nodes, 2)
-    every = sorted(naive_simple_paths(net.nodes, net.edges(), s, t))
-    fitting = [
-        p
-        for p in every
-        if naive_plan_feasible(net.nodes, net.edges(), dict(net.capacity), [p])
+    net = random_connected_network(rng, rng.randint(3, 11), cap_range=(0, 9))
+    assert_floors_resume(net, *rng.sample(net.nodes, 2))
+
+
+@given(st.integers(0, 100_000))
+@settings(max_examples=100, deadline=None)
+def test_memo_loses_no_path_on_block_chains(seed):
+    assert_floors_resume(block_chain(random.Random(seed)), "s", "t")
+
+
+@given(st.integers(0, 100_000))
+@settings(max_examples=10, deadline=None)
+def test_memo_loses_no_path_on_compiled_instances(seed):
+    assert_floors_resume(*compiled_main_search(random.Random(seed)))
+
+
+def test_memo_hits_on_fixed_draws():
+    # The two tests above check the memo only where it refuses pushes.  On
+    # these draws it does, and a memo that forgets a cut node's room, or
+    # files the states of floor-resumed levels, loses paths on some of them.
+    chains = [
+        assert_floors_resume(block_chain(random.Random(seed)), "s", "t") for seed in range(300)
     ]
-    router = _Router(net)
-    room = list(router.capacity)
-    for floor in every:
-        found = router.paths(
-            router.index[s], router.index[t], room, tuple(router.index[v] for v in floor)
-        )
-        assert [router.path_ids(p) for p in found] == [p for p in fitting if p >= floor]
-    assert room == list(router.capacity)
+    compiled = [
+        assert_floors_resume(*compiled_main_search(random.Random(seed))) for seed in range(10)
+    ]
+    assert sum(map(bool, chains)) >= 10 and any(compiled)
 
 
 @given(st.integers(0, 100_000))
