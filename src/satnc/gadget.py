@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, NamedTuple
 
 from .cnf import (
@@ -211,6 +211,72 @@ def conflict_pairs(formula: Formula) -> tuple[ConflictPair, ...]:
     return tuple(pairs)
 
 
+class _ClauseLayout(NamedTuple):
+    """The fixed part of one clause gadget; see ``_clause_layout``."""
+
+    entry: str
+    exit: str
+    bypass: str
+    source: str  # the preload's source
+    chains: tuple[tuple[str, str, str], ...]  # (pre, literal, post) by position
+    lits: tuple[str, ...]
+    nodes: tuple[str, ...]  # the gadget's own node ids, in row order
+    rows: tuple[NodeInfo, ...]
+    edges: tuple[tuple[str, str], ...]
+    source_row: NodeInfo
+    preload: FlowRequest
+    watch: tuple[str, ...]  # entry, exit, bypass, source, then the chains
+    roles: tuple[tuple[str, int], ...]  # the audit's role per transmitter
+
+
+def _node_rows(rows: Iterable[tuple[str, str, str]]) -> tuple[NodeInfo, ...]:
+    # NodeInfo._make on each row, without a Python-level call per row.
+    return tuple(map(tuple.__new__, itertools.repeat(NodeInfo), rows))
+
+
+@lru_cache(maxsize=1024)
+def _clause_layout(i: int, width: int) -> _ClauseLayout:
+    """The fixed part of clause i's gadget at this width: its ids, its
+    node rows, its internal edges but the literal clique, in compile order
+    (the link from the previous exit first), and its preload flow.
+
+    It is a pure function of (i, width), never of the literals or the
+    capacities, and every value it returns is immutable, so compiles,
+    audits and plans share one layout per position and width.  The table
+    keeps the 1,024 layouts used last: about 4 KB each at width 3, about
+    5 MB for a full table, and about 1.1 KB more per literal of width.
+    The clique, quadratic in the width, is left to the compiler.
+    """
+    e, x, b, a = entry_id(i), exit_id(i), bypass_id(i), preload_src_id(i)
+    rows = [(e, f"n_1^{i}", "V1"), (x, f"n_4^{i}", "V1")]
+    edges = [(exit_id(i - 1), e)] if i > 1 else []
+    chains = []
+    flat: list[str] = []  # the chains' nodes in turn
+    for j in range(1, width + 1):
+        chain = p, lit, q = prelit_id(i, j), lit_id(i, j), postlit_id(i, j)
+        rows += (
+            (p, f"n_{3 * j + 2}^{i}", "V3"),
+            (lit, f"n_{3 * j + 3}^{i}", "V2"),
+            (q, f"n_{3 * j + 4}^{i}", "V3"),
+        )
+        edges += ((e, p), (p, lit), (lit, q), (q, x))
+        chains.append(chain)
+        flat += chain
+    rows.append((b, f"n_{3 * width + 5}^{i}", "V4"))
+    edges += ((e, b), (b, x))
+    # In field order; positional arguments keep a first compile cheap.
+    return _ClauseLayout(
+        e, x, b, a, tuple(chains), tuple(flat[1::3]), (e, x, *flat, b),
+        _node_rows(rows), tuple(edges), NodeInfo(a, f"A_{i}", "aux"),
+        FlowRequest(a, b, 1, f"preload-{i}"),
+        (e, x, b, a, *flat), ((e, 1), *zip(flat, (2, 1, 3) * width)),
+    )
+
+
+def _layouts(formula: Formula) -> list[_ClauseLayout]:
+    return [_clause_layout(i, len(c)) for i, c in enumerate(formula.clauses, 1)]
+
+
 def compile_formula(
     formula: Formula, caps: CapacityPreset = CapacityPreset()
 ) -> NcInstance:
@@ -218,64 +284,51 @@ def compile_formula(
 
     Accepting all preload flows plus one main copy is possible exactly when
     the formula is satisfiable; with any clause unsatisfied the main flow
-    can only cross that clause by overloading its bypass.
+    can only cross that clause by overloading its bypass.  Each clause's
+    ids, rows and internal edges come from its layout (``_clause_layout``);
+    only its literal clique, the conflict nodes and the capacities are made
+    per call.
     """
     if not formula.clauses:
         raise ValueError("cannot compile an empty formula")
-    m = len(formula.clauses)
-    chain = caps.entry_exit
-    rows: list[tuple[str, str | None, str]] = []  # the node table's rows
-    cap: dict[str, int] = {}
-    edges: list[tuple[str, str]] = []
-    lits: list[list[str]] = []  # per clause, its literal nodes by position
-    bypasses: list[str] = []
-    for i, clause in enumerate(formula.clauses, 1):
-        width = len(clause)
-        literal = width + 2 if caps.literal is None else caps.literal
-        e, x, b = entry_id(i), exit_id(i), bypass_id(i)
-        if i > 1:
-            edges.append((exit_id(i - 1), e))
-        rows += ((e, f"n_1^{i}", "V1"), (x, f"n_4^{i}", "V1"))
-        cap[e] = cap[x] = chain
-        row = []
-        for j in range(1, width + 1):
-            p, lit, q = prelit_id(i, j), lit_id(i, j), postlit_id(i, j)
-            rows += (
-                (p, f"n_{3 * j + 2}^{i}", "V3"),
-                (lit, f"n_{3 * j + 3}^{i}", "V2"),
-                (q, f"n_{3 * j + 4}^{i}", "V3"),
-            )
-            cap[p] = cap[q] = chain
-            cap[lit] = literal
-            edges += ((e, p), (p, lit), (lit, q), (q, x))
-            row.append(lit)
-        rows.append((b, f"n_{3 * width + 5}^{i}", "V4"))
-        cap[b] = caps.bypass
-        edges += ((e, b), (b, x))
-        edges += itertools.combinations(row, 2)
-        lits.append(row)
-        bypasses.append(b)
+    layouts = _layouts(formula)
     pairs = conflict_pairs(formula)
+    edges: list[tuple[str, str]] = []
+    for lay in layouts:
+        edges += lay.edges
+        edges += itertools.combinations(lay.lits, 2)
+    lits = [lay.lits for lay in layouts]
+    found = []  # the conflict nodes' rows
     for index, (ci, cj), (ni, nj) in pairs:
         k = conflict_id(index)
-        rows.append((k, f"n_{index}", "V5"))
-        cap[k] = caps.conflict
+        found.append((k, f"n_{index}", "V5"))
         edges += ((k, lits[ci - 1][cj - 1]), (k, lits[ni - 1][nj - 1]))
-    sources = [preload_src_id(i) for i in range(1, m + 1)]
-    for i, (a, b) in enumerate(zip(sources, bypasses), 1):
-        rows.append((a, f"A_{i}", "aux"))
-        cap[a] = caps.preload_src
-        edges.append((a, b))
-    rows.append((TERMINAL, None, "aux"))
-    cap[TERMINAL] = caps.terminal
-    edges.append((exit_id(m), TERMINAL))
+    edges += [(lay.source, lay.bypass) for lay in layouts]
+    edges.append((layouts[-1].exit, TERMINAL))
+    conflicts = [row[0] for row in found]
+    sources = [lay.source for lay in layouts]
+    nodes = [*itertools.chain.from_iterable(lay.nodes for lay in layouts)]
+    rows = [*itertools.chain.from_iterable(lay.rows for lay in layouts)]
+    nodes += (*conflicts, *sources, TERMINAL)
+    rows += (
+        *_node_rows(found),
+        *[lay.source_row for lay in layouts],
+        NodeInfo(TERMINAL, None, "aux"),
+    )
 
-    network = Network([row[0] for row in rows], edges, cap)
-    flows = tuple(
-        FlowRequest(a, b, 1, f"preload-{i}")
-        for i, (a, b) in enumerate(zip(sources, bypasses), 1)
-    ) + (FlowRequest(entry_id(1), TERMINAL, None, "main"),)
-    inst = NcInstance(network, flows, tuple(map(NodeInfo._make, rows)), formula)
+    # Capacities by role; entry, exit, pre and post nodes keep the first.
+    cap = dict.fromkeys(nodes, caps.entry_exit)
+    for lay in layouts:
+        literal = len(lay.lits) + 2 if caps.literal is None else caps.literal
+        cap.update(dict.fromkeys(lay.lits, literal))
+        cap[lay.bypass] = caps.bypass
+    cap.update(dict.fromkeys(conflicts, caps.conflict))
+    cap.update(dict.fromkeys(sources, caps.preload_src))
+    cap[TERMINAL] = caps.terminal
+    network = Network(nodes, edges, cap)
+    flows = tuple([lay.preload for lay in layouts])
+    flows += (FlowRequest(entry_id(1), TERMINAL, None, "main"),)
+    inst = NcInstance(network, flows, tuple(rows), formula)
     inst.__dict__["conflicts"] = pairs  # the cached property, built above
     return inst
 
@@ -284,18 +337,6 @@ def _require_compiled(inst: NcInstance) -> Formula:
     if inst.formula is None:
         raise ValueError("operation requires an instance compiled from a formula")
     return inst.formula
-
-
-def clause_segment(i: int, positions: Iterable[int]) -> list[str]:
-    """Entry-to-exit node run visiting the given literal positions ascending."""
-    pos = sorted(positions)
-    if not pos:
-        raise ValueError("a clause segment needs at least one literal position")
-    nodes = [entry_id(i), prelit_id(i, pos[0])]
-    nodes.extend(lit_id(i, j) for j in pos)
-    nodes.append(postlit_id(i, pos[-1]))
-    nodes.append(exit_id(i))
-    return nodes
 
 
 def path_to_assignment(inst: NcInstance, p: Path) -> Assignment:
@@ -332,23 +373,25 @@ def assignment_plan(inst: NcInstance, a: Assignment) -> RoutePlan:
     true literals and each unsatisfied one over the freed bypass.
 
     It accepts 1 + (satisfied clauses) copies, and under the default
-    capacities it is feasible for every assignment.
+    capacities it is feasible for every assignment.  Main's route is read
+    off each clause's layout.
     """
     formula = _require_compiled(inst)
     _require_total(formula, a)
-    m = len(formula.clauses)
-    preloads = preload_plan(inst).assignments
-    main = [entry_id(1)]
+    layouts = _layouts(formula)
+    main: list[str] = []
     routed: list[RouteAssignment] = []
-    for i, clause in enumerate(formula.clauses, 1):
+    for lay, clause, flow in zip(layouts, formula.clauses, inst.flows):
+        main.append(lay.entry)
         trues = true_positions(clause, a)
         if trues:
-            main.extend(clause_segment(i, trues)[1:])
-            routed.append(preloads[i - 1])
+            chains = lay.chains
+            main.append(chains[trues[0] - 1][0])
+            main += [chains[j - 1][1] for j in trues]
+            main += (chains[trues[-1] - 1][2], lay.exit)
+            routed.append(RouteAssignment(flow, 0, (flow.src, flow.dst)))
         else:
-            main.extend([bypass_id(i), exit_id(i)])
-        if i < m:
-            main.append(entry_id(i + 1))
+            main += (lay.bypass, lay.exit)
     main.append(TERMINAL)
     routed.append(RouteAssignment(inst.flows[-1], 0, tuple(main)))
     return RoutePlan(tuple(routed))
@@ -404,16 +447,15 @@ def audit(inst: NcInstance) -> AuditReport:
     tuple, so each peak is read off that tuple in one pass.  Only when some
     node's peak does not fit are the realizable segments walked one by one,
     each node reported at its first overload; under the default capacities
-    every peak fits, so only capacity overrides walk.
+    every peak fits, so only capacity overrides walk.  A clause's ids,
+    watched nodes and transmitter roles are read off its layout, and its
+    context's chain ids off its neighbours' layouts.
     """
     formula = _require_compiled(inst)
     cap = inst.network.capacity
     tx = inst.network.transmit_sets
-    m = len(formula.clauses)
-    lits = [
-        [lit_id(i, j) for j in range(1, len(clause) + 1)]
-        for i, clause in enumerate(formula.clauses, 1)
-    ]
+    layouts = _layouts(formula)
+    m = len(layouts)
     # Each pair is checked once; its failures are reported under both clauses.
     # Transmitting from both literal nodes, and the route la -> k -> lb
     # (transmitters la and k), must each overload the conflict node k.  A
@@ -421,37 +463,33 @@ def audit(inst: NcInstance) -> AuditReport:
     pair_blocks: dict[int, tuple[str, bool, bool]] = {}
     for index, (ci, cj), (ni, nj) in inst.conflicts:
         k = conflict_id(index)
-        from_a = lits[ci - 1][cj - 1] in tx[k]
+        from_a = layouts[ci - 1].lits[cj - 1] in tx[k]
         pair_blocks[index] = (
             k,
-            from_a + (lits[ni - 1][nj - 1] in tx[k]) > cap[k],
+            from_a + (layouts[ni - 1].lits[nj - 1] in tx[k]) > cap[k],
             from_a + 1 > cap[k],
         )
 
     failures: list[str] = []
-    for i, clause in enumerate(formula.clauses, 1):
+    for i, (lay, clause) in enumerate(zip(layouts, formula.clauses), 1):
         pairs = inst.pairs_by_clause.get(i, ())
-        e, x, bypass, a = entry_id(i), exit_id(i), bypass_id(i), preload_src_id(i)
-        chains = [
-            (prelit_id(i, j), lit, postlit_id(i, j))
-            for j, lit in enumerate(lits[i - 1], 1)
-        ]
-        watch = [e, x, bypass, a, *itertools.chain(*chains)]
-        watch += [pair_blocks[p.index][0] for p in pairs]
+        e, chains = lay.entry, lay.chains
+        watch = [*lay.watch, *[pair_blocks[p.index][0] for p in pairs]]
         if i == m:
             watch.append(TERMINAL)
         # The context: the preload, the chain hop in, the chain hop out, and
-        # the next entry's first transmission (it reaches this clause's exit).
-        context = [a, exit_id(i - 1), x] if i > 1 else [a, x]
+        # the next entry's first transmission (it reaches this clause's exit),
+        # the two chain ids read off the layouts of clauses i - 1 and i + 1.
+        context = [lay.source, lay.exit]
+        if i > 1:
+            context.append(layouts[i - 2].exit)
         if i < m:
-            context.append(entry_id(i + 1))
+            context.append(layouts[i].entry)
         # Each transmitter's role: 0 context, 1 entry or literal, 2 pre, 3
         # post; a node's room is left after the context, its peak after
         # every segment, pre and post nodes counted once.
         role = dict.fromkeys(context, 0)
-        role[e] = 1
-        for p, lit, q in chains:
-            role[p], role[lit], role[q] = 2, 1, 3
+        role.update(lay.roles)
         heard_by = role.get
         room, peak = [], []
         for v in watch:
@@ -486,7 +524,7 @@ def audit(inst: NcInstance) -> AuditReport:
         ]
 
         # The route e -> bypass -> x: transmitters e and the bypass itself.
-        if (bypass in tx[e]) + 1 <= room[2]:  # watch[2] is the bypass
+        if (lay.bypass in tx[e]) + 1 <= room[2]:  # watch[2] is the bypass
             failures.append(f"clause {i}: bypass not blocked")
         for pair in pairs:
             k, conflict, through = pair_blocks[pair.index]

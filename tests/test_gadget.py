@@ -22,15 +22,18 @@ from satnc import (
     classify_path,
     compile_formula,
     conflict_pairs,
+    dumps_instance,
     eval_formula,
     max_sat_brute,
+    parse_dimacs,
     path_to_assignment,
     preload_plan,
     random_formula,
     solve_exact,
+    to_dot,
 )
 from satnc.cnf import realizable_true_sets
-from conftest import A1, A2, BROKEN_PATH_RAW, omitted_preloads
+from conftest import A1, A2, BROKEN_PATH_RAW, FIXTURES, omitted_preloads
 from oracles import reference_audit, subset_sizes
 
 
@@ -94,6 +97,45 @@ class TestCompileCounts:
             assert (flow.src, flow.dst, flow.copies) == (f"A{i}", f"B{i}", 1)
         main = flows[-1]
         assert (main.src, main.dst, main.copies) == ("E1", "T", None)
+
+
+class TestLayoutTable:
+    """Each clause gadget's fixed part is shared through a bounded table of
+    layouts; the compiled bytes must not depend on what the table holds."""
+
+    def outputs(self, formula):
+        inst = compile_formula(formula)
+        return dumps_instance(inst).encode(), to_dot(inst).encode()
+
+    def test_golden_bytes_cold_warm_and_after_eviction(self):
+        # The mid formula has widths 1-4 and repeated literals; the goldens
+        # are what `compile --dot` writes for it.
+        table = satnc.gadget._clause_layout
+        mid = parse_dimacs((FIXTURES / "mid_formula.cnf").read_text(encoding="utf-8"))
+        golden = (
+            (FIXTURES / "mid_formula.json").read_bytes(),
+            (FIXTURES / "mid_formula.dot").read_bytes(),
+        )
+        m = len(mid.clauses)
+        table.cache_clear()
+        assert self.outputs(mid) == golden
+        assert table.cache_info().misses == m
+        assert self.outputs(mid) == golden
+        assert table.cache_info()[:2] == (m, m)  # every layout reused
+
+        # More clauses than the table holds, every literal positive so no
+        # conflict node is made: the layouts of positions 1 to 100 go.
+        maxsize = table.cache_info().maxsize
+        big = Formula.from_clauses(
+            3, [tuple(range(1, i % 3 + 2)) for i in range(maxsize + 100)]
+        )
+        table.cache_clear()
+        cold = dumps_instance(compile_formula(big))
+        assert dumps_instance(compile_formula(big)) == cold
+        info = table.cache_info()
+        assert info.currsize <= info.maxsize
+        assert self.outputs(mid) == golden
+        assert table.cache_info().misses == info.misses + m
 
 
 class TestDegreeFacts:
