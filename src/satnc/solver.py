@@ -11,7 +11,14 @@ from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator
 
 from .gadget import NcInstance
-from .model import Network, Path, RouteAssignment, RoutePlan, check_feasible
+from .model import (
+    FlowRequest,
+    Network,
+    Path,
+    RouteAssignment,
+    RoutePlan,
+    check_feasible,
+)
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -39,8 +46,6 @@ class _Router:
     id tuples do; adjacency lists and transmit sets are tuples of indices.
     The search reads and writes a caller's ``room`` list, indexed the same
     way: ``room[v]`` is how many more transmissions node ``v`` can hear.
-    The component labels are built on first use; ``solve_greedy`` never
-    reads them.
 
     A trail node after ``s`` hears its predecessor's transmission and its
     own, so with room never above capacity only nodes of capacity 2 or
@@ -48,7 +53,9 @@ class _Router:
     separators of an ``s``-``t`` pair are the relays other than ``s`` and
     ``t`` that every relay path from ``s`` to ``t`` passes; ``_separators``
     finds them on first need and keeps them per pair, each with the key
-    ``paths`` files its failed states under.
+    ``paths`` files its failed states under.  The same walk tells whether
+    ``s`` reaches ``t`` over relays at all; where it does not, no path
+    exists.
     """
 
     def __init__(self, net: Network) -> None:
@@ -71,10 +78,11 @@ class _Router:
             for v in tx[u]:
                 room[v] += n
 
-    def _spread(self, dist: list[int], t: int) -> list[int]:
-        """Breadth first from ``t`` over the nodes ``dist`` marks unreached
-        (``len(adj)``): set their hops to ``t``, return them as reached."""
+    def _hops(self, t: int) -> list[int]:
+        """Hops to ``t`` from every node, breadth first; ``len(adj)``, more
+        than any path has, from nodes that cannot reach it."""
         adj, far = self.adj, len(self.adj)
+        dist = [far] * far
         dist[t] = 0
         queue = [t]
         for u in queue:  # the queue grows as it is read
@@ -82,25 +90,7 @@ class _Router:
                 if dist[w] == far:
                     dist[w] = dist[u] + 1
                     queue.append(w)
-        return queue
-
-    def _hops(self, t: int) -> list[int]:
-        """Hops to ``t`` from every node; ``len(adj)``, more than any path
-        has, from nodes that cannot reach it."""
-        dist = [len(self.adj)] * len(self.adj)
-        self._spread(dist, t)
         return dist
-
-    @functools.cached_property
-    def component(self) -> list[int]:
-        """A connected-component label per node; the graph is walked once."""
-        far = len(self.adj)
-        label = [far] * far  # each spread's hop counts give way to its root
-        for root in range(far):
-            if label[root] == far:
-                for v in self._spread(label, root):
-                    label[v] = root
-        return label
 
     @functools.cached_property
     def _relays(self) -> tuple[bytearray, tuple[tuple[int, tuple[int, ...]], ...]]:
@@ -117,7 +107,8 @@ class _Router:
 
     def _separators(self, s: int, t: int) -> list[Callable[[list], tuple] | None]:
         """Per node, the key of its failed states if it separates ``s`` from
-        ``t`` among the relays, else None.
+        ``t`` among the relays, else None; an empty list if no relay path
+        joins them, so no path does.
 
         One lowpoint depth-first walk from ``t`` over the relays (Hopcroft
         and Tarjan) numbers them in preorder.  A node ``c`` on ``s``'s tree
@@ -165,7 +156,8 @@ class _Router:
                 if low[u] < low[parent[u]]:
                     low[parent[u]] = low[u]
         if not disc[s]:
-            return keys  # no relay path at all
+            keys.clear()  # no relay path at all
+            return keys
         # The separators from t's side, each with its child toward s.
         cuts = []
         child, c = s, parent[s]
@@ -237,12 +229,14 @@ class _Router:
         separator can depend on, so a filed state yields nothing again.
         Levels resumed from ``floor`` file nothing, and the file lives as
         long as the call: between calls a caller's charges change rooms that
-        the keys leave out.
+        the keys leave out.  The separators' walk runs at the first push; if
+        it finds no relay path from ``s`` to ``t``, the search gives back its
+        room and ends there.  A search where ``t`` or a node ``s`` loads has
+        no room left ends before it starts: ``t`` hears the last hop.
         """
         adj, tx = self.adj, self.tx
-        comp = self.component
-        if comp[s] != comp[t]:
-            return  # nothing reachable from s can reach t
+        if room[t] <= 0:
+            return
         for v in tx[s]:
             if room[v] <= 0:
                 return
@@ -268,8 +262,9 @@ class _Router:
         else:
             levels.append(iter(kids))
         # The keys are looked up at the search's first push, so a search
-        # that pushes nothing builds no separators.  ``pushed[w]`` is the key
-        # and yield count of a keyed push of ``w`` still on the trail.
+        # that pushes nothing builds no separators; none at all means no
+        # path.  ``pushed[w]`` is the key and yield count of a keyed push of
+        # ``w`` still on the trail.
         keys = pushed = unkeyed = self._unkeyed
         failed: set[tuple] = set()
         found = 0  # yields so far
@@ -286,10 +281,14 @@ class _Router:
                         if room[v] <= 0:
                             break
                     else:
+                        if keys is unkeyed:
+                            keys = self._separators(s, t)
+                            if not keys:
+                                self.charge(room, trail, 1)
+                                return
+                            pushed = [None] * len(adj)
                         for v in txw:
                             room[v] -= 1
-                        if keys is unkeyed:
-                            keys, pushed = self._separators(s, t), [None] * len(adj)
                         key_of = keys[w]
                         if key_of is not None:
                             key = key_of(room)
@@ -352,10 +351,13 @@ def solve_exact(
     ``ValueError``.  The root bound is tested first, on the network's
     capacities, with every flow counted as routable.  A start that meets it
     is certified by that one comparison and returned as it is, with no
-    router built.  Otherwise the router is built, one search per flow
-    settles which flows have a path, and the search starts.  The result is
-    optimal unless the node budget (at least 1) ran out; when no plan
-    routes every required flow, it accepts 0 copies with an empty plan.
+    router built.  Otherwise the router is built and the flows with a path
+    are settled: each flow the start routes has one, since a path of a
+    feasible plan fits alone, and one search settles each other flow.  The
+    result is optimal unless the node budget (at least 1) ran out; when no
+    plan routes every required flow, it accepts 0 copies with an empty
+    plan.  A required flow without a path settles that at once, with no
+    search.
 
     The residual capacity is one list, ``room[v] = capacity - load``: a
     routed copy takes its load from it and gives it back on backtrack, and
@@ -380,8 +382,9 @@ def solve_exact(
     plan: list[tuple[int, int, tuple[int, ...]]] = []  # (flow, copy, path)
     best_count = -1
     best_plan: tuple[RouteAssignment, ...] = ()
+    started: Collection[FlowRequest] = ()  # the flows the start routes
     if start is not None:
-        _check_start(inst, start, required)
+        started = _check_start(inst, start, required)
         best_count, best_plan = len(start), start.assignments
     explored = 0
 
@@ -403,14 +406,19 @@ def solve_exact(
 
     # Every flow counts as routable at the root: that bound is never below
     # the exact one, so it prunes only where the exact one would.  Otherwise
-    # one path search per flow settles which are, and ``enter`` tests the
-    # root again with the exact bound.
+    # the flows with a path are settled, and ``enter`` tests the root again
+    # with the exact bound.
     if inst.flows and supply_bound(0, 0) <= best_count:
         return SolveResult(start, optimal=True, nodes_explored=1)
     router = _Router(net)
     room = list(router.capacity)
     ends = [(router.index[s], router.index[t]) for s, t in ends]
-    routable = [next(router.paths(s, t, room), None) is not None for s, t in ends]
+    routable = [
+        f in started or next(router.paths(s, t, room), None) is not None
+        for f, (s, t) in zip(inst.flows, ends)
+    ]
+    if not all(routable[fi] for fi in required):
+        return SolveResult(RoutePlan(), optimal=True, nodes_explored=1)
 
     # Depth-first without recursion.  A frame routes copy ``ci`` of flow
     # ``fi`` over each of its paths in turn, with copy ``ci + 1`` as the
@@ -464,7 +472,11 @@ def solve_exact(
     )
 
 
-def _check_start(inst: NcInstance, start: RoutePlan, required: Collection[int]) -> None:
+def _check_start(
+    inst: NcInstance, start: RoutePlan, required: Collection[int]
+) -> set[FlowRequest]:
+    """Raise unless ``start`` may warm-start ``solve_exact``; return the
+    flows it routes."""
     routed, demanded = {a.flow for a in start.assignments}, set(inst.flows)
     for a in start.assignments:
         if a.flow not in demanded or (
@@ -481,6 +493,7 @@ def _check_start(inst: NcInstance, start: RoutePlan, required: Collection[int]) 
             )
     if not check_feasible(inst.network, start).ok:
         raise InfeasibleStart("start plan is not feasible")
+    return routed
 
 
 def solve_greedy(inst: NcInstance) -> SolveResult:

@@ -732,6 +732,18 @@ class TestVerify:
         assert all(r["solver_optimal"] for r in report["records"])
         assert not any(r["satisfiable"] for r in report["records"])
 
+    def test_terminal_without_room_fails_at_once(self, capsys, tmp_path):
+        # Main has no path, so the solve with main required is settled at
+        # its root: the audit fails and the run exits 1 without a search.
+        code = main(
+            ["verify", "--vars", "5", "--clauses", "12", "--k", "3",
+             "--trials", "1", "--seed", "1", "--caps", "terminal=0",
+             "--witness-dir", str(tmp_path), "--json"]
+        )
+        (record,) = json.loads(capsys.readouterr().out)["records"]
+        assert code == 1
+        assert not record["audit_ok"] and record["solver_optimal"]
+
     def test_byte_identical_runs(self, capsys):
         args = ["verify", "--vars", "3", "--clauses", "3", "--k", "3",
                 "--trials", "8", "--seed", "11", "--json"]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import satnc.harness
 import satnc.solver
 from satnc import (
+    CapacityPreset,
     FlowRequest,
     Formula,
     InfeasibleStart,
@@ -300,6 +301,28 @@ class TestSolveExact:
         assert result.accepted_count == 0 and result.optimal
         assert result.plan == RoutePlan()
 
+    def test_unroutable_required_flow_settled_at_the_root(self):
+        # Twenty one-hop optional flows ahead of a required flow into an
+        # isolated node: a search for the required flow under every subset
+        # of them would run 2**21 branches, past this budget.
+        nodes = [f"{side}{i:02}" for i in range(20) for side in "ab"] + ["z"]
+        edges = [(f"a{i:02}", f"b{i:02}") for i in range(20)]
+        demands = [(a, b, 1) for a, b in edges] + [("a00", "z", 1)]
+        inst = demand_instance(make_network(nodes, edges, 5), demands)
+        result = solve_exact(inst, budget=10_000, required={20})
+        assert result.plan == RoutePlan() and result.optimal
+        assert result.nodes_explored == 1 and not result.budget_hit
+        # Without the required flow every optional one is routed.
+        assert solve_exact(inst, budget=10_000).accepted_count == 20
+
+    def test_terminal_without_room_settled_at_the_root(self):
+        # With no room at T, main has no path on a compiled instance.
+        inst = compile_formula(random_formula(6, 12, 3, 5), CapacityPreset(terminal=0))
+        main = len(inst.flows) - 1
+        result = solve_exact(inst, budget=10_000, required={main})
+        assert result.plan == RoutePlan() and result.optimal
+        assert result.nodes_explored == 1
+
     def test_required_index_out_of_range(self):
         inst = demand_instance(path_graph("AB"), [("A", "B", 1)])
         with pytest.raises(ValueError, match="out of range"):
@@ -312,6 +335,30 @@ class TestSolveExact:
         warm = solve_exact(inst, start=cold.plan)
         assert warm.plan == cold.plan and warm.optimal
         assert warm.nodes_explored < cold.nodes_explored
+
+    def test_start_settles_routability_of_its_flows(self, monkeypatch):
+        # Every sign pattern over two variables: x1 = x2 = True falsifies
+        # only the last clause, so the start leaves out its preload alone.
+        formula = Formula.from_clauses(2, [(1, 2), (1, -2), (-1, 2), (-1, -2)])
+        inst = compile_formula(formula)
+        start = assignment_plan(inst, {1: True, 2: True})
+        routed = {a.flow for a in start.assignments}
+        left_out = [f for f in inst.flows if f not in routed]
+        assert left_out == [inst.flows[3]]
+        seen = []
+        search = _Router.paths
+
+        def spy(router, s, t, *args, **kwargs):
+            seen.append((router.ids[s], router.ids[t]))
+            return search(router, s, t, *args, **kwargs)
+
+        monkeypatch.setattr(_Router, "paths", spy)
+        result = solve_exact(inst, required={len(inst.flows) - 1}, start=start)
+        assert result.optimal and result.accepted_count == len(start)
+        # One root search, for the left-out preload; the branch and bound
+        # opens with flow 0.
+        first = inst.flows[0]
+        assert seen[:2] == [(left_out[0].src, left_out[0].dst), (first.src, first.dst)]
 
     def test_bad_start_rejected(self):
         net = path_graph("ABC", cap=2)
@@ -419,6 +466,50 @@ class TestSeparators:
         nodes = sorted({v for e in edges for v in e})
         net = make_network(nodes, edges, {v: caps.get(v, 5) for v in nodes})
         assert_floors_resume(net, "s", "t")
+
+
+class TestRelayReachability:
+    """A path's inner nodes hear two transmissions, so only relays carry
+    one: the relay walk at a search's first push decides reachability."""
+
+    def test_capacity_one_junction_stops_at_first_push(self):
+        # s reaches a clique of relays and, through q of capacity 1, t.
+        clique = [f"k{i}" for i in range(6)]
+        edges = [("s", v) for v in clique] + list(itertools.combinations(clique, 2))
+        edges += [("k0", "q"), ("q", "t")]
+        nodes = sorted({v for e in edges for v in e})
+        net = make_network(nodes, edges, {v: 1 if v == "q" else 9 for v in nodes})
+        router = _Router(net)
+        s, t = router.index["s"], router.index["t"]
+        assert router._separators(s, t) == []
+
+        class Room(list):
+            """A room list that counts its writes."""
+
+            writes = 0
+
+            def __setitem__(self, i, value):
+                Room.writes += 1
+                super().__setitem__(i, value)
+
+        room = Room(router.capacity)
+        assert list(router.paths(s, t, room)) == []
+        assert room == list(router.capacity)
+        # s took its room and gave it back; no clique node was pushed.
+        assert Room.writes == 2 * len(router.tx[s])
+        # At capacity 2, q relays and the search finds the clique's paths.
+        net = make_network(nodes, edges, {v: 2 if v == "q" else 9 for v in nodes})
+        paths, _ = fitting_paths(net, "s", "t")
+        assert paths and all(p[-3:] == ("k0", "q", "t") for p in paths)
+
+    def test_no_room_at_destination_ends_the_search(self):
+        # B, which does not hear D, would fit.
+        net = path_graph("ABCD", cap=2)
+        router = _Router(net)
+        room = list(router.capacity)
+        room[router.index["D"]] = 0
+        assert list(router.paths(router.index["A"], router.index["D"], room)) == []
+        assert router._keys == {}  # the search never pushed
 
 
 class TestRouterRoom:
