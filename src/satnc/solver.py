@@ -11,14 +11,7 @@ from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator
 
 from .gadget import NcInstance
-from .model import (
-    FlowRequest,
-    Network,
-    Path,
-    RouteAssignment,
-    RoutePlan,
-    check_feasible,
-)
+from .model import Network, Path, RouteAssignment, RoutePlan, check_feasible
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -42,10 +35,12 @@ class SolveResult:
 class _Router:
     """Elementary s-t paths of one network, searched on demand.
 
-    Nodes are numbered in sorted id order, so index tuples compare as the
-    id tuples do; adjacency lists and transmit sets are tuples of indices.
-    The search reads and writes a caller's ``room`` list, indexed the same
-    way: ``room[v]`` is how many more transmissions node ``v`` can hear.
+    Its tables come from one read of the network's transmit sets: ``ids``,
+    the node ids sorted, so index tuples compare as id tuples do; ``index``,
+    its inverse; and per index the node's ``capacity``, its transmit set
+    ``tx`` in the network's order and ``adj``, its neighbours sorted.  The
+    search reads and writes a caller's ``room`` list, indexed the same way:
+    ``room[v]`` is how many more transmissions node ``v`` can hear.
 
     A trail node after ``s`` hears its predecessor's transmission and its
     own, so with room never above capacity only nodes of capacity 2 or
@@ -53,18 +48,18 @@ class _Router:
     separators of an ``s``-``t`` pair are the relays other than ``s`` and
     ``t`` that every relay path from ``s`` to ``t`` passes; ``_separators``
     finds them on first need and keeps them per pair, each with the key
-    ``paths`` files its failed states under.  The same walk tells whether
-    ``s`` reaches ``t`` over relays at all; where it does not, no path
-    exists.
+    ``paths`` files its failed states under; the relay marks they start
+    from are made once per router.
     """
 
     def __init__(self, net: Network) -> None:
-        self.ids = ids = tuple(sorted(net.nodes))
-        self.index = index = {v: i for i, v in enumerate(ids)}
-        self.capacity = tuple(map(net.capacity.__getitem__, ids))
         tx = net.transmit_sets
-        self.tx = tuple(tuple(map(index.__getitem__, tx[v])) for v in ids)
-        self.adj = tuple(tuple(sorted(t[1:])) for t in self.tx)
+        self.ids = ids = tuple(sorted(tx))
+        self.index = index = dict(zip(ids, range(len(ids))))
+        self.capacity = tuple(map(net.capacity.__getitem__, ids))
+        get = index.__getitem__
+        self.tx = [tuple(map(get, tx[v])) for v in ids]
+        self.adj = [sorted(row[1:]) for row in self.tx]
         self._keys: dict[tuple[int, int], list] = {}
         self._unkeyed = (None,) * len(ids)
 
@@ -93,17 +88,19 @@ class _Router:
         return dist
 
     @functools.cached_property
-    def _relays(self) -> tuple[bytearray, tuple[tuple[int, tuple[int, ...]], ...]]:
-        """Which nodes have the capacity to relay, and each other node that
-        two or more of them hear, with those hearers."""
-        relay = bytearray(c >= 2 for c in self.capacity)
-        heard = []
-        for v, kids in enumerate(self.adj):
-            if not relay[v]:
-                hearers = tuple(h for h in kids if relay[h])
-                if len(hearers) > 1:
-                    heard.append((v, hearers))
-        return relay, tuple(heard)
+    def _relays(self) -> tuple[list[int], list[tuple[int, list[int]]]]:
+        """Per node, where the separators' walk starts it: 0, unreached, for
+        a relay, and past every preorder number for any other node, so the
+        walk passes it by; then each non-relay heard by two or more relays,
+        with those hearers."""
+        never = len(self.adj) + 1
+        marks = [0 if c >= 2 else never for c in self.capacity]
+        heard = [
+            (v, hearers)
+            for v, kids in enumerate(self.adj)
+            if marks[v] and len(hearers := [h for h in kids if not marks[h]]) > 1
+        ]
+        return marks, heard
 
     def _separators(self, s: int, t: int) -> list[Callable[[list], tuple] | None]:
         """Per node, the key of its failed states if it separates ``s`` from
@@ -111,7 +108,8 @@ class _Router:
         joins them, so no path does.
 
         One lowpoint depth-first walk from ``t`` over the relays (Hopcroft
-        and Tarjan) numbers them in preorder.  A node ``c`` on ``s``'s tree
+        and Tarjan) numbers them in preorder, starting from the relay marks,
+        so it never asks whether a node relays.  A node ``c`` on ``s``'s tree
         path whose child toward ``s`` has low at least ``c``'s number cuts
         that child's subtree, the s side, from the t side: every other
         reached relay but ``c`` and ``t``.  A trail that reaches ``c`` got
@@ -127,34 +125,35 @@ class _Router:
         keys = self._keys.get((s, t))
         if keys is not None:
             return keys
-        adj = self.adj
-        n = len(adj)
+        adj, n = self.adj, len(self.adj)
         keys = self._keys[s, t] = [None] * n
-        static, heard = self._relays
-        relay = bytearray(static)
-        relay[s] = relay[t] = 1
-        # Preorder numbers from 1 (0: unreached), lowpoints and tree parents.
-        disc, low, parent = [0] * n, [0] * n, [t] * n
+        # Preorder numbers from 1, with s and t as relays; lowpoints (t's is
+        # 1, the others' are set as the walk reaches them) and tree parents.
+        disc = self._relays[0].copy()
+        disc[s], disc[t] = 0, 1
+        low, parent = disc.copy(), [t] * n
         order = [t]
-        disc[t] = low[t] = 1
         stack = [(t, iter(adj[t]))]
         while stack:
             u, kids = stack[-1]
+            lu = low[u]
             for w in kids:
-                if not relay[w]:
-                    continue
-                if not disc[w]:
+                d = disc[w]
+                if d < lu:  # a relay, numbered lower or not yet
+                    if d:
+                        lu = d
+                        continue
+                    low[u] = lu
                     order.append(w)
                     disc[w] = low[w] = len(order)
                     parent[w] = u
                     stack.append((w, iter(adj[w])))
                     break
-                if disc[w] < low[u]:
-                    low[u] = disc[w]
             else:
                 stack.pop()
-                if low[u] < low[parent[u]]:
-                    low[parent[u]] = low[u]
+                low[u] = lu
+                if lu < low[parent[u]]:
+                    low[parent[u]] = lu
         if not disc[s]:
             keys.clear()  # no relay path at all
             return keys
@@ -168,8 +167,8 @@ class _Router:
         cuts.reverse()
         # The s sides nest, so a reached relay h is on the s side of the
         # first inside[h] separators and, unless it is one, on the t side of
-        # every separator past after[h].  Unreached relays, s and t are
-        # hearers on no side: inside 0, after the last separator.
+        # every separator past after[h].  Any other node, and s and t, are on
+        # no side: inside 0, after the last separator.
         k = len(cuts)
         inside, after = [0] * n, [k] * n
         cut_child = dict.fromkeys(child for _, child in cuts)
@@ -177,26 +176,26 @@ class _Router:
             after[v] = inside[v] = inside[parent[v]] + (v in cut_child)
         for j, (c, _) in enumerate(cuts, 1):
             after[c] = j
-        inside[s] = 0
-        after[s] = after[t] = k
+        inside[s], after[s], after[t] = 0, k, k
         raw: list[list[int]] = [[] for _ in cuts]
         sole: list[list[tuple[int, int]]] = [[] for _ in cuts]
         # Index j stands for separator j + 1: hearer h is on its s side if
         # inside[h] > j, on its t side if after[h] <= j.
-        for v, hearers in heard:
+        level, rank = inside.__getitem__, after.__getitem__
+        for v, hearers in self._relays[1]:
             if v == s or v == t:
                 continue
-            x, y, *_ = sorted(hearers, key=after.__getitem__)
-            top = max(map(inside.__getitem__, hearers))
+            x, y, *_ = sorted(hearers, key=rank)
+            top = max(map(level, hearers))
             second = min(after[y], top)
-            for j in range(after[x], second):
-                sole[j].append((v, x))
-            for j in range(second, top):
-                raw[j].append(v)
+            pair = v, x
+            for keyed in sole[after[x] : second]:
+                keyed.append(pair)
+            for keyed in raw[second:top]:
+                keyed.append(v)
         for j, (c, _) in enumerate(cuts):
-            hearers = [h for h in adj[c] if relay[h]]
-            far = [h for h in hearers if after[h] <= j]
-            if max(map(inside.__getitem__, hearers)) > j and far:
+            far = [h for h in adj[c] if after[h] <= j]
+            if far and max(map(level, adj[c])) > j:
                 if len(far) == 1:
                     sole[j].append((c, far[0]))
                 else:
@@ -347,17 +346,21 @@ def solve_exact(
     ``start``, a feasible plan that routes every required flow, is the
     first incumbent, so the bound prunes against it from the root.  A start
     that is not feasible raises ``InfeasibleStart``; one that routes a copy
-    the instance does not demand, or misses a required flow, raises a plain
-    ``ValueError``.  The root bound is tested first, on the network's
-    capacities, with every flow counted as routable.  A start that meets it
-    is certified by that one comparison and returned as it is, with no
-    router built.  Otherwise the router is built and the flows with a path
-    are settled: each flow the start routes has one, since a path of a
-    feasible plan fits alone, and one search settles each other flow.  The
-    result is optimal unless the node budget (at least 1) ran out; when no
-    plan routes every required flow, it accepts 0 copies with an empty
-    plan.  A required flow without a path settles that at once, with no
-    search.
+    the instance does not demand (a copy index is an int, not a bool, in
+    ``range(copies)``, or at least 0 for ``copies=None``), or misses a
+    required flow, raises a plain ``ValueError``.  The root bound is tested
+    first, on the network's capacities, with every flow counted as
+    routable.  A start that meets it is certified by that one comparison
+    and returned as it is, with no router built.  Otherwise the solve sets
+    up once: it builds the router, whose separators and relay marks wait
+    for a search's first push, and settles which flows have a path: each
+    flow the start routes has one, since a path of a feasible plan fits
+    alone, and one search settles each other flow.  The result is optimal
+    unless the node budget (at least 1) ran out; when no plan routes every
+    required flow, it accepts 0 copies with an empty plan, at once if a
+    required flow has no path.  Each B&B node sums its bound once: its
+    frame keeps the sum for the test after each child and hands it, less
+    its own flow's term, to the next flow's branch.
 
     The residual capacity is one list, ``room[v] = capacity - load``: a
     routed copy takes its load from it and gives it back on backtrack, and
@@ -382,7 +385,7 @@ def solve_exact(
     plan: list[tuple[int, int, tuple[int, ...]]] = []  # (flow, copy, path)
     best_count = -1
     best_plan: tuple[RouteAssignment, ...] = ()
-    started: Collection[FlowRequest] = ()  # the flows the start routes
+    started: Collection[int] = ()  # the flows the start routes
     if start is not None:
         started = _check_start(inst, start, required)
         best_count, best_plan = len(start), start.assignments
@@ -404,18 +407,16 @@ def solve_exact(
             total += min(copies[g], endpoint_ub(g))
         return total
 
-    # Every flow counts as routable at the root: that bound is never below
-    # the exact one, so it prunes only where the exact one would.  Otherwise
-    # the flows with a path are settled, and ``enter`` tests the root again
-    # with the exact bound.
+    # Counting every flow as routable never lowers the bound, so this test
+    # prunes only where the exact one would; ``enter`` makes that one.
     if inst.flows and supply_bound(0, 0) <= best_count:
         return SolveResult(start, optimal=True, nodes_explored=1)
     router = _Router(net)
     room = list(router.capacity)
     ends = [(router.index[s], router.index[t]) for s, t in ends]
     routable = [
-        f in started or next(router.paths(s, t, room), None) is not None
-        for f, (s, t) in zip(inst.flows, ends)
+        fi in started or next(router.paths(s, t, room), None) is not None
+        for fi, (s, t) in enumerate(ends)
     ]
     if not all(routable[fi] for fi in required):
         return SolveResult(RoutePlan(), optimal=True, nodes_explored=1)
@@ -423,10 +424,13 @@ def solve_exact(
     # Depth-first without recursion.  A frame routes copy ``ci`` of flow
     # ``fi`` over each of its paths in turn, with copy ``ci + 1`` as the
     # child branch, then stops routing the flow and moves on in its place.
+    # On top, a frame sees the room ``enter`` summed its bound on: a child
+    # gives back the room it took, and a suspended path search its own.
     stack: list[list] = []
 
-    def enter(fi: int, ci: int, floor: tuple[int, ...], accepted: int) -> None:
-        """Open a branch: settle it here or push its frame."""
+    def enter(fi: int, ci: int, floor: tuple, accepted: int, bound=None) -> None:
+        """Open a branch: settle it here or push its frame; ``bound`` is its
+        supply bound if the caller has it."""
         nonlocal best_count, best_plan, explored
         explored += 1
         if explored > budget:
@@ -439,20 +443,21 @@ def solve_exact(
                     for f, c, p in plan
                 )
             return
-        if accepted + supply_bound(fi, ci) <= best_count:
+        bound = supply_bound(fi, ci) if bound is None else bound
+        if accepted + bound <= best_count:
             return
         paths = router.paths(*ends[fi], room, floor) if ci < copies[fi] else iter(())
-        stack.append([fi, ci, accepted, paths, None])  # last: the routed path
+        stack.append([fi, ci, accepted, paths, None, bound])  # [4]: the routed path
 
     enter(0, 0, (), 0)
     while stack and explored <= budget:
         frame = stack[-1]
-        fi, ci, accepted, paths, routed = frame
+        fi, ci, accepted, paths, routed, bound = frame
         if routed is not None:  # back from the child branch
             plan.pop()
             router.charge(room, routed[:-1], 1)
             frame[4] = None
-            if accepted + supply_bound(fi, ci) <= best_count:
+            if accepted + bound <= best_count:
                 paths = frame[3] = iter(())
         path = next(paths, None)
         if path is not None:
@@ -463,7 +468,8 @@ def solve_exact(
             continue
         stack.pop()
         if ci > 0 or fi not in required:
-            enter(fi + 1, 0, (), accepted)
+            rest = bound - min(copies[fi] - ci, endpoint_ub(fi))
+            enter(fi + 1, 0, (), accepted, rest)
     return SolveResult(
         plan=RoutePlan(best_plan),
         optimal=explored <= budget,
@@ -474,20 +480,21 @@ def solve_exact(
 
 def _check_start(
     inst: NcInstance, start: RoutePlan, required: Collection[int]
-) -> set[FlowRequest]:
+) -> set[int]:
     """Raise unless ``start`` may warm-start ``solve_exact``; return the
-    flows it routes."""
-    routed, demanded = {a.flow for a in start.assignments}, set(inst.flows)
+    indices of the flows it routes."""
+    position = dict(zip(inst.flows, itertools.count()))
+    routed = set()
     for a in start.assignments:
-        if a.flow not in demanded or (
-            a.flow.copies is not None and a.copy >= a.flow.copies
-        ):
+        fi, c = position.get(a.flow), a.copy
+        if fi is None or type(c) is not int or not 0 <= c < (a.flow.copies or math.inf):
             raise ValueError(
-                f"start routes copy {a.copy} of flow {a.flow.label!r}, "
+                f"start routes copy {c!r} of flow {a.flow.label!r}, "
                 "which the instance does not demand"
             )
+        routed.add(fi)
     for fi in required:
-        if inst.flows[fi] not in routed:
+        if fi not in routed:
             raise ValueError(
                 f"start does not route required flow {inst.flows[fi].label!r}"
             )

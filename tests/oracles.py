@@ -63,6 +63,28 @@ def naive_simple_paths(nodes, edges, s, t) -> list[tuple[str, ...]]:
     return out
 
 
+def naive_separators(nodes, edges, caps, s, t) -> set[str] | None:
+    """The relays other than s and t whose removal leaves no relay path
+    from s to t, or None if no relay path joins them at all.  The relays are
+    the nodes of capacity 2 or more, plus s and t; each test is a plain
+    breadth-first search over the edge list."""
+    relays = {v for v in nodes if caps[v] >= 2} | {s, t}
+
+    def joined(removed) -> bool:
+        seen, queue = {s}, [s]
+        for here in queue:  # the queue grows as it is read
+            for u, v in edges:
+                for a, b in ((u, v), (v, u)):
+                    if a == here and b in relays and b != removed and b not in seen:
+                        seen.add(b)
+                        queue.append(b)
+        return t in seen
+
+    if not joined(None):
+        return None
+    return {c for c in relays - {s, t} if not joined(c)}
+
+
 def naive_path_fault(nodes, edges, p):
     """What a validator must report for the node sequence ``p``: None for an
     elementary path over edges, else (error class name, message, bad hop)

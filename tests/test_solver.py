@@ -34,6 +34,7 @@ from conftest import FIXTURES, make_network, path_graph, random_connected_networ
 from oracles import (
     naive_best_accept,
     naive_plan_feasible,
+    naive_separators,
     naive_simple_paths,
     reference_greedy,
 )
@@ -381,6 +382,24 @@ class TestSolveExact:
         # Only an overloading start is one the caller may drop and solve cold.
         for shape_error in (missing.value, undemanded.value):
             assert not isinstance(shape_error, InfeasibleStart)
+        # A copy index must be an int, not a bool, in range(copies), or any
+        # int >= 0 for an unbounded demand; a negative one would let a
+        # one-copy demand count two copies.
+        for copies in (1, None):
+            f = FlowRequest("s", "t", copies, "f")
+            one_hop = plain_instance(make_network(["s", "t"], [("s", "t")], 5), [f])
+            for bad in (-1, True, 0.5, "0"):
+                bad_copy = RouteAssignment(f, bad, ("s", "t"))
+                start = RoutePlan((bad_copy, RouteAssignment(f, 0, ("s", "t"))))
+                with pytest.raises(ValueError, match="does not demand"):
+                    solve_exact(one_hop, start=start)
+
+    def test_unbounded_start_takes_any_copy_index(self):
+        f = FlowRequest("s", "t", None, "f")
+        inst = plain_instance(make_network(["s", "t"], [("s", "t")], 5), [f])
+        start = RoutePlan((RouteAssignment(f, 7, ("s", "t")),))
+        result = solve_exact(inst, start=start)
+        assert result.optimal and result.accepted_count == 5
 
     def test_empty_path_is_no_accepted_copy(self):
         # a-b plus an isolated c: the a->c flow has no route, so the optimum
@@ -621,6 +640,57 @@ class TestRootCertificate:
         assert seen == pinned
 
 
+def budget_draw(kind, *args):
+    """A fixed solve: a cold one on a 7-node plain graph with three demands
+    of ``copies`` each, or a warm one with main required on a compiled
+    unsatisfiable formula; the instance and the solve's keyword arguments."""
+    if kind == "plain":
+        seed, copies = args
+        rng = random.Random(seed)
+        net = random_connected_network(rng, 7, cap_range=(1, 5))
+        flows = tuple(
+            FlowRequest(*rng.sample(net.nodes, 2), copies, f"d{i}") for i in range(3)
+        )
+        return plain_instance(net, flows), {}
+    formula = random_formula(*args)
+    inst = compile_formula(formula)
+    start = assignment_plan(inst, max_sat_brute(formula)[1])
+    return inst, {"required": (len(inst.flows) - 1,), "start": start}
+
+
+# Each draw's full node count and its accepted count under budgets 1-40,
+# as the solver gave them before its B&B nodes kept their bound sums.  On
+# each plain draw, a bound not tested again after a child returns, with a
+# better incumbent, explores more nodes.
+@pytest.mark.parametrize(
+    ("draw", "nodes", "accepted"),
+    [
+        (("plain", 0, 1), 14, [0] * 4 + [1] * 7 + [2] * 29),
+        (("plain", 20, 1), 12, [0] * 4 + [1] * 5 + [2] * 31),
+        (("plain", 47, 1), 22, [0] * 4 + [1] * 5 + [2] * 9 + [3] * 22),
+        (("plain", 31, 2), 21, [0] * 6 + [3] * 10 + [4] * 24),
+        (("plain", 42, 2), 13, [0] * 6 + [3] * 34),
+        (("plain", 113, 2), 15, [0] * 4 + [1] * 8 + [2] * 28),
+        (("plain", 20, None), 21, [0] * 4 + [1] * 5 + [2] * 8 + [3] * 23),
+        (("plain", 42, None), 25, [0] * 6 + [3] * 13 + [5] * 21),
+        (("plain", 75, None), 31, [0] * 5 + [2] * 22 + [3] * 13),
+        (("compiled", 3, 7, 2, 5), 22, [7] * 40),
+        (("compiled", 3, 7, 2, 7), 22, [7] * 40),
+        (("compiled", 5, 12, 3, 256), 37, [12] * 40),
+        (("compiled", 5, 12, 3, 739), 37, [12] * 40),
+    ],
+    ids=str,
+)
+def test_budget_cutoffs_pinned(draw, nodes, accepted):
+    # A budget below the node count stops the search one node past it.
+    inst, kwargs = budget_draw(*draw)
+    for budget, count in enumerate(accepted, 1):
+        r = solve_exact(inst, budget=budget, **kwargs)
+        got = (r.accepted_count, r.optimal, r.nodes_explored, r.budget_hit)
+        assert got == (count, budget >= nodes, min(budget + 1, nodes), budget < nodes)
+    assert solve_exact(inst, **kwargs).nodes_explored == nodes
+
+
 @pytest.mark.parametrize("shape", [(4, 3, 3, 10, 1), (3, 7, 2, 10, 2)])
 def test_one_feasibility_check_per_trial(monkeypatch, shape):
     # The solver checks the warm start; the harness checks nothing once the
@@ -802,6 +872,80 @@ def test_memo_hits_on_fixed_draws():
         assert_floors_resume(*compiled_main_search(random.Random(seed))) for seed in range(10)
     ]
     assert sum(map(bool, chains)) >= 10 and any(compiled)
+
+
+def assert_separators_match_naive(net, s, t):
+    """``_separators`` keys exactly the naive separators of s and t, and is
+    empty exactly when no relay path joins them; returns the naive set."""
+    expected = naive_separators(net.nodes, net.edges(), dict(net.capacity), s, t)
+    router = _Router(net)
+    keys = router._separators(router.index[s], router.index[t])
+    if expected is None:
+        assert keys == []
+    else:
+        assert keys and {router.ids[v] for v, key in enumerate(keys) if key} == expected
+    return expected
+
+
+@given(st.integers(0, 100_000))
+@settings(max_examples=100, deadline=None)
+def test_separators_match_naive_on_plain_graphs(seed):
+    # Capacities 0-3, so capacity-1 junctions, which cannot relay, cut
+    # some pairs apart and leave others joined only around them.
+    rng = random.Random(seed)
+    net = random_connected_network(rng, rng.randint(3, 10), cap_range=(0, 3))
+    assert_separators_match_naive(net, *rng.sample(net.nodes, 2))
+
+
+@given(st.integers(0, 100_000))
+@settings(max_examples=10, deadline=None)
+def test_separators_match_naive_on_compiled_instances(seed):
+    net, s, t, _ = compiled_main_search(random.Random(seed))
+    assert assert_separators_match_naive(net, s, t)
+
+
+def test_separators_match_naive_on_fixed_draws():
+    # The random tests above hold both outcomes only if the draws do: on
+    # these, some pairs have no relay path, some have one with separators.
+    found = []
+    for seed in range(200):
+        rng = random.Random(seed)
+        net = random_connected_network(rng, rng.randint(3, 10), cap_range=(0, 3))
+        found.append(assert_separators_match_naive(net, *rng.sample(net.nodes, 2)))
+    assert found.count(None) >= 20 and sum(map(bool, found)) >= 20
+
+
+def random_router_network(rng):
+    """A plain graph with capacities 0-4, or a small compiled instance."""
+    if rng.random() < 0.7:
+        return random_connected_network(rng, rng.randint(2, 12), cap_range=(0, 4))
+    n, m = rng.randint(2, 4), rng.randint(1, 4)
+    return compile_formula(random_formula(n, m, 2, rng.randrange(10**6))).network
+
+
+@given(st.integers(0, 100_000))
+@settings(max_examples=60, deadline=None)
+def test_router_tables_match_the_network(seed):
+    net = random_router_network(random.Random(seed))
+    router = _Router(net)
+    ids, index = router.ids, router.index
+    assert list(ids) == sorted(net.nodes)
+    assert index == {v: i for i, v in enumerate(ids)}
+    assert list(router.capacity) == [net.capacity[v] for v in ids]
+    for i, v in enumerate(ids):
+        assert tuple(ids[u] for u in router.tx[i]) == net.transmit_sets[v]
+        assert list(router.adj[i]) == sorted(index[u] for u in net.adjacency(v))
+    # The relay marks: 0 for capacity 2 or more.  The heard list: each other
+    # node with two or more relay neighbours, and those neighbours.
+    marks, heard = router._relays
+    relay = [net.capacity[v] >= 2 for v in ids]
+    assert [not mark for mark in marks] == relay
+    expected = []
+    for i, v in enumerate(ids):
+        hearers = sorted(index[u] for u in net.adjacency(v) if relay[index[u]])
+        if not relay[i] and len(hearers) > 1:
+            expected.append((i, hearers))
+    assert [(v, list(hearers)) for v, hearers in heard] == expected
 
 
 @given(st.integers(0, 100_000))
