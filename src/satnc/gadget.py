@@ -277,6 +277,58 @@ def _layouts(formula: Formula) -> list[_ClauseLayout]:
     return [_clause_layout(i, len(c)) for i, c in enumerate(formula.clauses, 1)]
 
 
+class _Frame(NamedTuple):
+    """The conflict-free part of every compile of one shape; see ``_frame``."""
+
+    network: Network  # every clause gadget's own nodes and edges
+    rows: tuple[NodeInfo, ...]  # their node rows, in network order
+    lits: tuple[tuple[str, ...], ...]  # each clause's literal nodes
+    sources: tuple[str, ...]  # the preloads' sources
+    tail_edges: tuple[tuple[str, str], ...]  # each preload's hop, then X_m -> T
+    tail_rows: tuple[NodeInfo, ...]  # the sources' rows, then the terminal's
+    flows: tuple[FlowRequest, ...]  # the preloads, then main
+
+
+@lru_cache(maxsize=1)
+def _frame(
+    widths: tuple[int, ...], entry_exit: int, literal: int | None, bypass: int
+) -> _Frame:
+    """The part of a compile fixed by its shape: the clause widths and the
+    capacities of the clause gadgets' own nodes.
+
+    Its network holds every clause gadget's nodes, internal edges and
+    literal clique, with their capacities, validated once; a compile
+    extends it with the conflict nodes, the preloads' sources, the
+    terminal and their edges.  The frame has one entry, the shape compiled
+    last, so what it keeps is that shape's conflict-free network, whose
+    transmit tuples the compiled instances share, and its rows and flows:
+    about 2 KB per width-3 clause beyond the clause's layout.  Only exact
+    ints and None may key it (see ``compile_formula``).
+    """
+    layouts = [_clause_layout(i, w) for i, w in enumerate(widths, 1)]
+    edges: list[tuple[str, str]] = []
+    for lay in layouts:
+        edges += lay.edges
+        edges += itertools.combinations(lay.lits, 2)
+    nodes = [*itertools.chain.from_iterable(lay.nodes for lay in layouts)]
+    # Capacities by role; entry, exit, pre and post nodes keep the first.
+    cap = dict.fromkeys(nodes, entry_exit)
+    for lay in layouts:
+        width_cap = len(lay.lits) + 2 if literal is None else literal
+        cap.update(dict.fromkeys(lay.lits, width_cap))
+        cap[lay.bypass] = bypass
+    main = FlowRequest(entry_id(1), TERMINAL, None, "main")
+    return _Frame(
+        Network(nodes, edges, cap),
+        tuple(itertools.chain.from_iterable(lay.rows for lay in layouts)),
+        tuple([lay.lits for lay in layouts]),
+        tuple([lay.source for lay in layouts]),
+        (*[(lay.source, lay.bypass) for lay in layouts], (layouts[-1].exit, TERMINAL)),
+        (*[lay.source_row for lay in layouts], NodeInfo(TERMINAL, None, "aux")),
+        (*[lay.preload for lay in layouts], main),
+    )
+
+
 def compile_formula(
     formula: Formula, caps: CapacityPreset = CapacityPreset()
 ) -> NcInstance:
@@ -284,51 +336,40 @@ def compile_formula(
 
     Accepting all preload flows plus one main copy is possible exactly when
     the formula is satisfiable; with any clause unsatisfied the main flow
-    can only cross that clause by overloading its bypass.  Each clause's
-    ids, rows and internal edges come from its layout (``_clause_layout``);
-    only its literal clique, the conflict nodes and the capacities are made
-    per call.
+    can only cross that clause by overloading its bypass.  The network of
+    the clause gadgets comes from the frame of the formula's shape
+    (``_frame``), built from the clauses' layouts (``_clause_layout``) when
+    the shape differs from the last one compiled; only the conflict nodes,
+    the preloads' sources, the terminal, their edges and their capacities
+    are added per call.  The result is the network the whole node and
+    edge lists would build, transmit order included.
     """
     if not formula.clauses:
         raise ValueError("cannot compile an empty formula")
-    layouts = _layouts(formula)
+    shaped = (caps.entry_exit, caps.literal, caps.bypass)
+    # True == 1 and 3.0 == 3, so they would find an int's frame, yet
+    # neither is a capacity: any value but an exact int or None builds its
+    # frame uncached, where the network rejects it as for any compile.
+    exact = all(type(c) is int for c in shaped if c is not None)
+    build = _frame if exact else _frame.__wrapped__
+    frame = build(tuple(map(len, formula.clauses)), *shaped)
     pairs = conflict_pairs(formula)
+    lits = frame.lits
     edges: list[tuple[str, str]] = []
-    for lay in layouts:
-        edges += lay.edges
-        edges += itertools.combinations(lay.lits, 2)
-    lits = [lay.lits for lay in layouts]
     found = []  # the conflict nodes' rows
     for index, (ci, cj), (ni, nj) in pairs:
         k = conflict_id(index)
         found.append((k, f"n_{index}", "V5"))
         edges += ((k, lits[ci - 1][cj - 1]), (k, lits[ni - 1][nj - 1]))
-    edges += [(lay.source, lay.bypass) for lay in layouts]
-    edges.append((layouts[-1].exit, TERMINAL))
+    edges += frame.tail_edges
     conflicts = [row[0] for row in found]
-    sources = [lay.source for lay in layouts]
-    nodes = [*itertools.chain.from_iterable(lay.nodes for lay in layouts)]
-    rows = [*itertools.chain.from_iterable(lay.rows for lay in layouts)]
-    nodes += (*conflicts, *sources, TERMINAL)
-    rows += (
-        *_node_rows(found),
-        *[lay.source_row for lay in layouts],
-        NodeInfo(TERMINAL, None, "aux"),
-    )
-
-    # Capacities by role; entry, exit, pre and post nodes keep the first.
-    cap = dict.fromkeys(nodes, caps.entry_exit)
-    for lay in layouts:
-        literal = len(lay.lits) + 2 if caps.literal is None else caps.literal
-        cap.update(dict.fromkeys(lay.lits, literal))
-        cap[lay.bypass] = caps.bypass
-    cap.update(dict.fromkeys(conflicts, caps.conflict))
-    cap.update(dict.fromkeys(sources, caps.preload_src))
+    cap = dict.fromkeys(conflicts, caps.conflict)
+    cap.update(dict.fromkeys(frame.sources, caps.preload_src))
     cap[TERMINAL] = caps.terminal
-    network = Network(nodes, edges, cap)
-    flows = tuple([lay.preload for lay in layouts])
-    flows += (FlowRequest(entry_id(1), TERMINAL, None, "main"),)
-    inst = NcInstance(network, flows, tuple(rows), formula)
+    added = [*conflicts, *frame.sources, TERMINAL]
+    network = frame.network.extended(added, edges, cap)
+    rows = (*frame.rows, *_node_rows(found), *frame.tail_rows)
+    inst = NcInstance(network, frame.flows, rows, formula)
     inst.__dict__["conflicts"] = pairs  # the cached property, built above
     return inst
 

@@ -27,6 +27,10 @@ class Network:
     One table per node: its transmit tuple ``(v, *neighbours)``, every node
     a transmission from ``v`` loads, neighbours in the order their edges
     were first listed.  Adjacency, edges and equality are read off it.
+
+    ``extended`` builds this network plus appended nodes and edges; the
+    constructor is that operation applied to the empty network, so both
+    check their input by the same rules and with the same messages.
     """
 
     __slots__ = ("_nodes", "_capacity", "_tx", "_edges")
@@ -37,10 +41,48 @@ class Network:
         edges: Iterable[tuple[str, str]],
         capacity: Mapping[str, int],
     ) -> None:
-        self._nodes = tuple(nodes)
-        tx: dict[str, list[str]] = {v: [v] for v in self._nodes}
-        if len(tx) != len(self._nodes):
+        self._grow((), {}, {}, nodes, edges, capacity)
+
+    def extended(
+        self,
+        nodes: Iterable[str],
+        edges: Iterable[tuple[str, str]],
+        capacity: Mapping[str, int],
+    ) -> Network:
+        """This network plus ``nodes``, appended in order, and ``edges``.
+
+        Only what is added is checked: the new ids must be distinct and
+        new to this network, each edge must join two known nodes and no
+        node to itself, and ``capacity`` must give each new node a
+        non-negative integer.  An edge listed twice, or already present,
+        is one edge.  The result equals the network built from the
+        concatenated node and edge lists, transmit order included.  It
+        shares with this network, which is left unchanged, the transmit
+        tuple of every node that no added edge touches.
+        """
+        net = Network.__new__(Network)
+        net._grow(self._nodes, self._tx, self._capacity, nodes, edges, capacity)
+        return net
+
+    def _grow(
+        self,
+        base_nodes: tuple[str, ...],
+        base_tx: dict[str, tuple[str, ...]],
+        base_caps: dict[str, int],
+        nodes: Iterable[str],
+        edges: Iterable[tuple[str, str]],
+        capacity: Mapping[str, int],
+    ) -> None:
+        new = tuple(nodes)
+        # The new nodes' rows, then each base row an edge touches, as lists.
+        tx: dict[str, list[str]] = {v: [v] for v in new}
+        if len(tx) != len(new) or not base_tx.keys().isdisjoint(tx.keys()):
             raise ValueError("duplicate node ids")
+        if base_tx:  # copy in each base row an added edge touches
+            edges = list(edges)
+            for w in {w for edge in edges for w in edge}.difference(tx):
+                if w in base_tx:
+                    tx[w] = [*base_tx[w]]
         for u, v in edges:
             try:
                 tu, tv = tx[u], tx[v]
@@ -53,15 +95,19 @@ class Network:
             if v not in tu:  # an edge listed twice is one edge
                 tu.append(v)
                 tv.append(u)
-        caps: dict[str, int] = {}
-        for v in self._nodes:
+        caps = dict(base_caps)
+        for v in new:
             if v not in capacity:
                 raise ValueError(f"missing capacity for node {v!r}")
             c = capacity[v]
             if not isinstance(c, int) or isinstance(c, bool) or c < 0:
                 raise ValueError(f"capacity of {v!r} must be a non-negative integer")
             caps[v] = c
-        self._tx = dict(zip(tx, map(tuple, tx.values())))
+        # A touched base row keeps its place; the new rows follow in order.
+        rows = dict(base_tx)
+        rows.update(zip(tx, map(tuple, tx.values())))
+        self._nodes = base_nodes + new
+        self._tx = rows
         self._capacity = caps
         self._edges: tuple[tuple[str, str], ...] | None = None  # sorted on first use
 

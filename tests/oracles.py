@@ -4,7 +4,8 @@ Everything here is written from the ground rules only: adjacency is an
 edge-list scan, interference membership is re-derived per node, path
 enumeration is plain recursion, the plan optimum is an exhaustive sweep,
 and the greedy plan picks from the full path list.  Nothing imports the package's load or search code; the reference
-audit borrows only the compiler's node names.
+audit borrows only the compiler's node names, and the reference compile
+the clause layouts and one ``Network`` built from the full edge list.
 """
 
 from __future__ import annotations
@@ -14,8 +15,14 @@ from typing import NamedTuple
 
 from satnc.gadget import (
     TERMINAL,
+    CapacityPreset,
+    NcInstance,
+    NodeInfo,
+    _layouts,
+    _node_rows,
     bypass_id,
     conflict_id,
+    conflict_pairs,
     entry_id,
     exit_id,
     lit_id,
@@ -23,6 +30,7 @@ from satnc.gadget import (
     preload_src_id,
     prelit_id,
 )
+from satnc.model import FlowRequest, Network
 
 
 def edge_key(u: str, v: str) -> tuple[str, str]:
@@ -281,3 +289,48 @@ def reference_audit(inst) -> ReferenceAudit:
 
         records.append(margins)
     return ReferenceAudit(tuple(failures), tuple(records))
+
+
+def reference_compile(formula, caps=CapacityPreset()) -> NcInstance:
+    """The compiler without its per-shape frame: every node, edge and
+    capacity listed afresh and one ``Network`` built from the full lists."""
+    if not formula.clauses:
+        raise ValueError("cannot compile an empty formula")
+    layouts = _layouts(formula)
+    pairs = conflict_pairs(formula)
+    edges: list[tuple[str, str]] = []
+    for lay in layouts:
+        edges += lay.edges
+        edges += itertools.combinations(lay.lits, 2)
+    lits = [lay.lits for lay in layouts]
+    found = []  # the conflict nodes' rows
+    for index, (ci, cj), (ni, nj) in pairs:
+        k = conflict_id(index)
+        found.append((k, f"n_{index}", "V5"))
+        edges += ((k, lits[ci - 1][cj - 1]), (k, lits[ni - 1][nj - 1]))
+    edges += [(lay.source, lay.bypass) for lay in layouts]
+    edges.append((layouts[-1].exit, TERMINAL))
+    conflicts = [row[0] for row in found]
+    sources = [lay.source for lay in layouts]
+    nodes = [*itertools.chain.from_iterable(lay.nodes for lay in layouts)]
+    rows = [*itertools.chain.from_iterable(lay.rows for lay in layouts)]
+    nodes += (*conflicts, *sources, TERMINAL)
+    rows += (
+        *_node_rows(found),
+        *[lay.source_row for lay in layouts],
+        NodeInfo(TERMINAL, None, "aux"),
+    )
+
+    # Capacities by role; entry, exit, pre and post nodes keep the first.
+    cap = dict.fromkeys(nodes, caps.entry_exit)
+    for lay in layouts:
+        literal = len(lay.lits) + 2 if caps.literal is None else caps.literal
+        cap.update(dict.fromkeys(lay.lits, literal))
+        cap[lay.bypass] = caps.bypass
+    cap.update(dict.fromkeys(conflicts, caps.conflict))
+    cap.update(dict.fromkeys(sources, caps.preload_src))
+    cap[TERMINAL] = caps.terminal
+    network = Network(nodes, edges, cap)
+    flows = tuple([lay.preload for lay in layouts])
+    flows += (FlowRequest(entry_id(1), TERMINAL, None, "main"),)
+    return NcInstance(network, flows, tuple(rows), formula)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -34,7 +35,7 @@ from satnc import (
 )
 from satnc.cnf import realizable_true_sets
 from conftest import A1, A2, BROKEN_PATH_RAW, FIXTURES, omitted_preloads
-from oracles import reference_audit, subset_sizes
+from oracles import reference_audit, reference_compile, subset_sizes
 
 
 def paper_names(inst, path):
@@ -118,10 +119,11 @@ class TestLayoutTable:
         )
         m = len(mid.clauses)
         table.cache_clear()
+        satnc.gadget._frame.cache_clear()
         assert self.outputs(mid) == golden
         assert table.cache_info().misses == m
         assert self.outputs(mid) == golden
-        assert table.cache_info()[:2] == (m, m)  # every layout reused
+        assert table.cache_info().misses == m  # a warm compile makes no new miss
 
         # More clauses than the table holds, every literal positive so no
         # conflict node is made: the layouts of positions 1 to 100 go.
@@ -136,6 +138,127 @@ class TestLayoutTable:
         assert info.currsize <= info.maxsize
         assert self.outputs(mid) == golden
         assert table.cache_info().misses == info.misses + m
+
+
+class TestFrame:
+    """A compile extends the network of its shape's frame; the compiled
+    bytes must not depend on which shape the frame holds."""
+
+    def test_golden_bytes_cold_warm_and_after_eviction(self, worked_formula):
+        frame = satnc.gadget._frame
+        mid = parse_dimacs((FIXTURES / "mid_formula.cnf").read_text(encoding="utf-8"))
+        golden = {
+            stem: (
+                (FIXTURES / f"{stem}.json").read_bytes(),
+                (FIXTURES / f"{stem}.dot").read_bytes(),
+            )
+            for stem in ("mid_formula", "mid_formula_caps")
+        }
+        # What `compile --caps v4=5,v5=2` builds: the bypass capacity is part
+        # of the frame's shape, so this evicts the default frame.
+        raised = CapacityPreset(bypass=5, conflict=2)
+
+        def outputs(caps=CapacityPreset()):
+            inst = compile_formula(mid, caps)
+            return dumps_instance(inst).encode(), to_dot(inst).encode()
+
+        frame.cache_clear()
+        assert outputs() == golden["mid_formula"]  # cold
+        assert outputs() == golden["mid_formula"]  # warm
+        assert frame.cache_info()[:2] == (1, 1)
+        assert outputs(raised) == golden["mid_formula_caps"]
+        worked = compile_formula(worked_formula)  # another shape
+        assert worked == reference_compile(worked_formula)
+        assert frame.cache_info()[:3] == (1, 3, 1)  # one entry, the last shape
+        assert outputs() == golden["mid_formula"]  # evicted, built again
+        assert outputs(raised) == golden["mid_formula_caps"]
+        assert frame.cache_info()[:2] == (1, 5)
+
+    # The first node of each field's role in the worked example, which has
+    # conflict nodes: the node a whole-list build rejects first.
+    FIRST = {
+        "entry_exit": "E1",
+        "literal": "L1.1",
+        "bypass": "B1",
+        "conflict": "K1",
+        "preload_src": "A1",
+        "terminal": "T",
+    }
+
+    @pytest.mark.parametrize("field", sorted(FIRST))
+    @pytest.mark.parametrize("bad, valid", [(True, 1), (3.0, 3), (-1, 1)])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_invalid_capacity_raises_whatever_the_frame_holds(
+        self, worked_formula, field, bad, valid, warm
+    ):
+        # True == 1 and 3.0 == 3, with equal hashes: a frame keyed on the
+        # values alone would hand the valid preset's network to the bad one.
+        message = f"capacity of {self.FIRST[field]!r} must be a non-negative integer"
+        invalid = dataclasses.replace(CapacityPreset(), **{field: bad})
+        with pytest.raises(ValueError) as whole:
+            reference_compile(worked_formula, invalid)
+        assert str(whole.value) == message
+        satnc.gadget._frame.cache_clear()
+        if warm:
+            valid_preset = dataclasses.replace(CapacityPreset(), **{field: valid})
+            compile_formula(worked_formula, valid_preset)
+        with pytest.raises(ValueError) as got:
+            compile_formula(worked_formula, invalid)
+        assert str(got.value) == message
+
+
+def identical(inst, ref):
+    """The compile matches the reference byte for byte and row for row."""
+    assert dumps_instance(inst) == dumps_instance(ref)
+    assert to_dot(inst) == to_dot(ref)
+    assert list(inst.network.transmit_sets.items()) == list(
+        ref.network.transmit_sets.items()
+    )
+    assert list(inst.network.capacity.items()) == list(ref.network.capacity.items())
+    assert (inst.node_table, inst.flows) == (ref.node_table, ref.flows)
+    assert audit(inst).failures == audit(ref).failures
+
+
+PRESETS = st.builds(
+    CapacityPreset,
+    entry_exit=st.integers(0, 4),
+    literal=st.none() | st.integers(0, 7),
+    bypass=st.integers(0, 5),
+    conflict=st.integers(0, 3),
+    preload_src=st.integers(0, 2),
+    terminal=st.integers(0, 3),
+)
+
+
+@st.composite
+def interleaved_compiles(draw):
+    """A few shapes (clause widths and capacities) and a sequence of
+    formulas over them, so a frame is built, reused and evicted."""
+    n = draw(st.integers(1, 4))
+    shapes = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(1, 5), min_size=1, max_size=5),
+                st.just(CapacityPreset()) | PRESETS,
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    literal = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    out = []
+    for pick in draw(st.lists(st.integers(0, len(shapes) - 1), min_size=2, max_size=6)):
+        widths, caps = shapes[pick]
+        clauses = [draw(st.lists(literal, min_size=w, max_size=w)) for w in widths]
+        out.append((Formula.from_clauses(n, clauses), caps))
+    return out
+
+
+@given(interleaved_compiles())
+@settings(max_examples=80, deadline=None)
+def test_compile_matches_the_reference_compile(compiles):
+    for formula, caps in compiles:
+        identical(compile_formula(formula, caps), reference_compile(formula, caps))
 
 
 class TestDegreeFacts:

@@ -85,6 +85,106 @@ class TestOneTable:
         assert forward != make_network("ABCD", self.EDGES, 4)
 
 
+def snapshot(net: Network):
+    """Everything a network holds, orders included, and its row objects."""
+    rows = list(net.transmit_sets.items())
+    return net.nodes, list(net.capacity.items()), rows, [id(t) for _, t in rows]
+
+
+class TestExtended:
+    """``extended`` checks only what it adds, by the constructor's rules."""
+
+    BASE = (("A", "B", "D"), (("A", "B"), ("B", "D")), {"A": 1, "B": 2, "D": 0})
+
+    @pytest.mark.parametrize(
+        "nodes, edges, caps",
+        [
+            (["C", "C"], [], {"C": 1}),  # duplicate among the added ids
+            (["C", "A"], [], {"C": 1, "A": 1}),  # duplicate of a base id
+            (["C"], [("C", "Z")], {"C": 1}),  # unknown endpoint
+            (["C"], [("Z", "A")], {"C": 1}),
+            (["C"], [("Z", "Z")], {"C": 1}),  # unknown before self-loop
+            (["C"], [("C", "C")], {"C": 1}),  # self-loop on an added node
+            (["C"], [("C", "A"), ("A", "A")], {"C": 1}),  # ... on a base node
+            (["C"], [], {}),  # missing capacity
+            (["C"], [], {"A": 1}),
+            (["C"], [], {"C": True}),
+            (["C"], [], {"C": 1.0}),
+            (["C"], [], {"C": -1}),
+            (["C", "E"], [("C", "Q")], {"C": -1}),  # edges before capacities
+        ],
+    )
+    def test_each_fault_raises_as_the_constructor(self, nodes, edges, caps):
+        base_nodes, base_edges, base_caps = self.BASE
+        with pytest.raises(ValueError) as whole:
+            Network(
+                [*base_nodes, *nodes], [*base_edges, *edges], {**base_caps, **caps}
+            )
+        base = Network(*self.BASE)
+        before = snapshot(base)
+        with pytest.raises(ValueError) as grown:
+            base.extended(nodes, edges, caps)
+        assert str(grown.value) == str(whole.value)
+        assert type(grown.value) is ValueError
+        assert snapshot(base) == before
+
+    def test_repeated_and_base_edges_are_one_edge(self):
+        base = Network(*self.BASE)
+        before = snapshot(base)
+        edges = [("B", "A"), ("C", "A"), ("A", "C"), ("C", "A"), ("D", "B")]
+        net = base.extended("C", edges, {"C": 3})
+        assert snapshot(base) == before
+        assert dict(net.transmit_sets) == {
+            "A": ("A", "B", "C"),
+            "B": ("B", "A", "D"),
+            "D": ("D", "B"),
+            "C": ("C", "A"),
+        }
+        assert net.edges() == (("A", "B"), ("A", "C"), ("B", "D"))
+        assert net.capacity == {"A": 1, "B": 2, "D": 0, "C": 3}
+        assert net == Network("ABDC", [*self.BASE[1], *edges], net.capacity)
+
+
+@st.composite
+def split_graph(draw):
+    """Nodes, capacities, an edge list (repeats and both orientations
+    allowed) and a split: the base takes a prefix of the nodes and the
+    edges among them from a prefix of the list; the rest is added."""
+    n = draw(st.integers(0, 8))
+    nodes = [f"n{i}" for i in draw(st.permutations(range(n)))]
+    caps = {v: draw(st.integers(0, 5)) for v in nodes}
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1]
+    )
+    drawn = draw(st.lists(pairs, max_size=20)) if n > 1 else []
+    edges = [(nodes[i], nodes[j]) for i, j in drawn]
+    a, b = draw(st.integers(0, n)), draw(st.integers(0, len(edges)))
+    in_base = [max(map(nodes.index, e)) < a for e in edges[:b]]
+    base_edges = [e for e, inside in zip(edges, in_base) if inside]
+    added = [e for e, inside in zip(edges, in_base) if not inside] + edges[b:]
+    return nodes, caps, a, base_edges, added
+
+
+@given(split_graph())
+@settings(max_examples=150, deadline=None)
+def test_extended_equals_the_whole_build(case):
+    nodes, caps, a, base_edges, added = case
+    whole = Network(nodes, base_edges + added, caps)
+    grown = Network((), (), {}).extended(nodes, base_edges + added, caps)
+    assert snapshot(grown)[:3] == snapshot(whole)[:3]
+    assert grown == whole
+    base = Network(nodes[:a], base_edges, caps)
+    before = snapshot(base)
+    net = base.extended(nodes[a:], added, caps)
+    assert snapshot(net)[:3] == snapshot(whole)[:3]
+    assert net == whole
+    assert snapshot(base) == before
+    touched = {v for e in added for v in e}
+    for v in base.nodes:
+        if v not in touched:
+            assert net.transmit_sets[v] is base.transmit_sets[v]
+
+
 class TestInterferenceSet:
     """A transmission over a hop (u, x) loads u's transmit set: u and its
     whole neighbourhood, the receiver x included."""
