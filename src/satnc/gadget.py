@@ -178,15 +178,6 @@ class NcInstance:
             counts[info.subset] = counts.get(info.subset, 0) + 1
         return counts
 
-    @cached_property
-    def pairs_by_clause(self) -> Mapping[int, tuple[ConflictPair, ...]]:
-        """Conflict pairs with an occurrence in each clause, in pair order."""
-        index: dict[int, list[ConflictPair]] = {}
-        for pair in self.conflicts:
-            for clause in (pair.pos[0], pair.neg[0]):
-                index.setdefault(clause, []).append(pair)
-        return {i: tuple(pairs) for i, pairs in index.items()}
-
 
 def plain_instance(network: Network, flows: Iterable[FlowRequest]) -> NcInstance:
     """Wrap a hand-built network as an instance with no gadget metadata."""
@@ -211,22 +202,29 @@ def conflict_pairs(formula: Formula) -> tuple[ConflictPair, ...]:
     return tuple(pairs)
 
 
-class _ClauseLayout(NamedTuple):
-    """The fixed part of one clause gadget; see ``_clause_layout``."""
+class _Clause(NamedTuple):
+    """One clause gadget's part of a shape; see ``_shape``."""
 
     entry: str
     exit: str
     bypass: str
-    source: str  # the preload's source
     chains: tuple[tuple[str, str, str], ...]  # (pre, literal, post) by position
     lits: tuple[str, ...]
-    nodes: tuple[str, ...]  # the gadget's own node ids, in row order
-    rows: tuple[NodeInfo, ...]
-    edges: tuple[tuple[str, str], ...]
-    source_row: NodeInfo
-    preload: FlowRequest
     watch: tuple[str, ...]  # entry, exit, bypass, source, then the chains
-    roles: tuple[tuple[str, int], ...]  # the audit's role per transmitter
+    last: tuple[str, ...]  # watched after the conflict nodes: T in clause m
+    role: dict[str, int]  # the audit's role per transmitter
+
+
+class _Shape(NamedTuple):
+    """The part of a compile fixed by its clause widths; see ``_shape``."""
+
+    clauses: tuple[_Clause, ...]
+    rows: tuple[NodeInfo, ...]  # every clause gadget's own nodes
+    edges: tuple[tuple[str, str], ...]  # their internal edges and cliques
+    sources: tuple[str, ...]  # the preloads' sources
+    tail_edges: tuple[tuple[str, str], ...]  # each preload's hop, then X_m -> T
+    tail_rows: tuple[NodeInfo, ...]  # the sources' rows, then the terminal's
+    flows: tuple[FlowRequest, ...]  # the preloads, then main
 
 
 def _node_rows(rows: Iterable[tuple[str, str, str]]) -> tuple[NodeInfo, ...]:
@@ -234,99 +232,94 @@ def _node_rows(rows: Iterable[tuple[str, str, str]]) -> tuple[NodeInfo, ...]:
     return tuple(map(tuple.__new__, itertools.repeat(NodeInfo), rows))
 
 
-@lru_cache(maxsize=1024)
-def _clause_layout(i: int, width: int) -> _ClauseLayout:
-    """The fixed part of clause i's gadget at this width: its ids, its
-    node rows, its internal edges but the literal clique, in compile order
-    (the link from the previous exit first), and its preload flow.
+@lru_cache(maxsize=1)
+def _shape(widths: tuple[int, ...]) -> _Shape:
+    """Every fact of a compile that the clause widths fix, never the
+    literals or the capacities: each clause gadget's ids, watched nodes and
+    audit roles, and the chain's node rows, edges, tail and flows, in
+    compile order (each gadget's link from the previous exit first, its
+    literal clique last).
 
-    It is a pure function of (i, width), never of the literals or the
-    capacities, and every value it returns is immutable, so compiles,
-    audits and plans share one layout per position and width.  The table
-    keeps the 1,024 layouts used last: about 4 KB each at width 3, about
-    5 MB for a full table, and about 1.1 KB more per literal of width.
-    The clique, quadratic in the width, is left to the compiler.
+    Compiles, audits and plans read it once per call.  The table has one
+    entry, the shape read last: about 6 KB per width-3 clause.  Widths are
+    ``len`` results, so exact ints key it.  No reader changes its values.
     """
-    e, x, b, a = entry_id(i), exit_id(i), bypass_id(i), preload_src_id(i)
-    rows = [(e, f"n_1^{i}", "V1"), (x, f"n_4^{i}", "V1")]
-    edges = [(exit_id(i - 1), e)] if i > 1 else []
-    chains = []
-    flat: list[str] = []  # the chains' nodes in turn
-    for j in range(1, width + 1):
-        chain = p, lit, q = prelit_id(i, j), lit_id(i, j), postlit_id(i, j)
-        rows += (
-            (p, f"n_{3 * j + 2}^{i}", "V3"),
-            (lit, f"n_{3 * j + 3}^{i}", "V2"),
-            (q, f"n_{3 * j + 4}^{i}", "V3"),
-        )
-        edges += ((e, p), (p, lit), (lit, q), (q, x))
-        chains.append(chain)
-        flat += chain
-    rows.append((b, f"n_{3 * width + 5}^{i}", "V4"))
-    edges += ((e, b), (b, x))
-    # In field order; positional arguments keep a first compile cheap.
-    return _ClauseLayout(
-        e, x, b, a, tuple(chains), tuple(flat[1::3]), (e, x, *flat, b),
-        _node_rows(rows), tuple(edges), NodeInfo(a, f"A_{i}", "aux"),
-        FlowRequest(a, b, 1, f"preload-{i}"),
-        (e, x, b, a, *flat), ((e, 1), *zip(flat, (2, 1, 3) * width)),
+    m = len(widths)
+    clauses: list[_Clause] = []
+    rows: list[tuple[str, str, str]] = []
+    edges: list[tuple[str, str]] = []
+    preloads: list[FlowRequest] = []
+    for i, width in enumerate(widths, 1):
+        e, x, b, a = entry_id(i), exit_id(i), bypass_id(i), preload_src_id(i)
+        rows += ((e, f"n_1^{i}", "V1"), (x, f"n_4^{i}", "V1"))
+        if i > 1:
+            edges.append((exit_id(i - 1), e))
+        chains = []
+        flat: list[str] = []  # the chains' nodes in turn
+        for j in range(1, width + 1):
+            chain = p, lit, q = prelit_id(i, j), lit_id(i, j), postlit_id(i, j)
+            rows += (
+                (p, f"n_{3 * j + 2}^{i}", "V3"),
+                (lit, f"n_{3 * j + 3}^{i}", "V2"),
+                (q, f"n_{3 * j + 4}^{i}", "V3"),
+            )
+            edges += ((e, p), (p, lit), (lit, q), (q, x))
+            chains.append(chain)
+            flat += chain
+        rows.append((b, f"n_{3 * width + 5}^{i}", "V4"))
+        lits = tuple(flat[1::3])
+        edges += ((e, b), (b, x), *itertools.combinations(lits, 2))
+        # Each transmitter's role: 0 context, 1 entry or literal, 2 pre, 3
+        # post.  The context: the preload, the chain hop in, the chain hop
+        # out, and the next entry's first transmission (it reaches x); so
+        # each end of the link X_{i-1} - E_i is in the other clause's context.
+        role = {a: 0, x: 0, e: 1}
+        role.update(zip(flat, (2, 1, 3) * width))
+        if i > 1:
+            role[exit_id(i - 1)] = 0
+            clauses[-1].role[e] = 0
+        watch = (e, x, b, a, *flat)
+        last = (TERMINAL,) if i == m else ()
+        clauses.append(_Clause(e, x, b, tuple(chains), lits, watch, last, role))
+        preloads.append(FlowRequest(a, b, 1, f"preload-{i}"))
+    sources = tuple(f.src for f in preloads)
+    tail_rows = [NodeInfo(a, f"A_{i}", "aux") for i, a in enumerate(sources, 1)]
+    return _Shape(
+        tuple(clauses),
+        _node_rows(rows),
+        tuple(edges),
+        sources,
+        (*[(f.src, f.dst) for f in preloads], (exit_id(m), TERMINAL)),
+        (*tail_rows, NodeInfo(TERMINAL, None, "aux")),
+        (*preloads, FlowRequest(entry_id(1), TERMINAL, None, "main")),
     )
-
-
-def _layouts(formula: Formula) -> list[_ClauseLayout]:
-    return [_clause_layout(i, len(c)) for i, c in enumerate(formula.clauses, 1)]
-
-
-class _Frame(NamedTuple):
-    """The conflict-free part of every compile of one shape; see ``_frame``."""
-
-    network: Network  # every clause gadget's own nodes and edges
-    rows: tuple[NodeInfo, ...]  # their node rows, in network order
-    lits: tuple[tuple[str, ...], ...]  # each clause's literal nodes
-    sources: tuple[str, ...]  # the preloads' sources
-    tail_edges: tuple[tuple[str, str], ...]  # each preload's hop, then X_m -> T
-    tail_rows: tuple[NodeInfo, ...]  # the sources' rows, then the terminal's
-    flows: tuple[FlowRequest, ...]  # the preloads, then main
 
 
 @lru_cache(maxsize=1)
 def _frame(
     widths: tuple[int, ...], entry_exit: int, literal: int | None, bypass: int
-) -> _Frame:
-    """The part of a compile fixed by its shape: the clause widths and the
-    capacities of the clause gadgets' own nodes.
-
-    Its network holds every clause gadget's nodes, internal edges and
-    literal clique, with their capacities, validated once; a compile
-    extends it with the conflict nodes, the preloads' sources, the
-    terminal and their edges.  The frame has one entry, the shape compiled
-    last, so what it keeps is that shape's conflict-free network, whose
-    transmit tuples the compiled instances share, and its rows and flows:
-    about 2 KB per width-3 clause beyond the clause's layout.  Only exact
-    ints and None may key it (see ``compile_formula``).
+) -> Network:
+    """The checked network of a shape's clause gadgets under the
+    capacities of their own nodes: every gadget's nodes, internal edges
+    and literal clique, validated once.  A compile extends it with the
+    conflict nodes, the preloads' sources, the terminal and their edges.
+    The table has one entry, the last (shape, capacities) compiled, whose
+    transmit tuples compiled instances share: about 1.2 KB per width-3
+    clause.  Only exact ints and None may key it (see ``compile_formula``).
     """
-    layouts = [_clause_layout(i, w) for i, w in enumerate(widths, 1)]
-    edges: list[tuple[str, str]] = []
-    for lay in layouts:
-        edges += lay.edges
-        edges += itertools.combinations(lay.lits, 2)
-    nodes = [*itertools.chain.from_iterable(lay.nodes for lay in layouts)]
+    shape = _shape(widths)
+    nodes = [row[0] for row in shape.rows]
     # Capacities by role; entry, exit, pre and post nodes keep the first.
     cap = dict.fromkeys(nodes, entry_exit)
-    for lay in layouts:
-        width_cap = len(lay.lits) + 2 if literal is None else literal
-        cap.update(dict.fromkeys(lay.lits, width_cap))
-        cap[lay.bypass] = bypass
-    main = FlowRequest(entry_id(1), TERMINAL, None, "main")
-    return _Frame(
-        Network(nodes, edges, cap),
-        tuple(itertools.chain.from_iterable(lay.rows for lay in layouts)),
-        tuple([lay.lits for lay in layouts]),
-        tuple([lay.source for lay in layouts]),
-        (*[(lay.source, lay.bypass) for lay in layouts], (layouts[-1].exit, TERMINAL)),
-        (*[lay.source_row for lay in layouts], NodeInfo(TERMINAL, None, "aux")),
-        (*[lay.preload for lay in layouts], main),
-    )
+    for c in shape.clauses:
+        width_cap = len(c.lits) + 2 if literal is None else literal
+        cap.update(dict.fromkeys(c.lits, width_cap))
+        cap[c.bypass] = bypass
+    return Network(nodes, shape.edges, cap)
+
+
+def _gadgets(formula: Formula) -> tuple[_Clause, ...]:
+    return _shape(tuple(map(len, formula.clauses))).clauses
 
 
 def compile_formula(
@@ -336,40 +329,41 @@ def compile_formula(
 
     Accepting all preload flows plus one main copy is possible exactly when
     the formula is satisfiable; with any clause unsatisfied the main flow
-    can only cross that clause by overloading its bypass.  The network of
-    the clause gadgets comes from the frame of the formula's shape
-    (``_frame``), built from the clauses' layouts (``_clause_layout``) when
-    the shape differs from the last one compiled; only the conflict nodes,
-    the preloads' sources, the terminal, their edges and their capacities
-    are added per call.  The result is the network the whole node and
-    edge lists would build, transmit order included.
+    can only cross that clause by overloading its bypass.  The clause
+    gadgets' network comes from ``_frame`` and their ids, rows, tail and
+    flows from ``_shape``, each built when the shape differs from the last
+    one compiled; only the conflict nodes, the preloads' sources, the
+    terminal, their edges and their capacities are added per call.  The
+    result is the network the whole node and edge lists would build,
+    transmit order included.
     """
     if not formula.clauses:
         raise ValueError("cannot compile an empty formula")
+    widths = tuple(map(len, formula.clauses))
     shaped = (caps.entry_exit, caps.literal, caps.bypass)
     # True == 1 and 3.0 == 3, so they would find an int's frame, yet
     # neither is a capacity: any value but an exact int or None builds its
     # frame uncached, where the network rejects it as for any compile.
     exact = all(type(c) is int for c in shaped if c is not None)
-    build = _frame if exact else _frame.__wrapped__
-    frame = build(tuple(map(len, formula.clauses)), *shaped)
+    frame = (_frame if exact else _frame.__wrapped__)(widths, *shaped)
+    shape = _shape(widths)
     pairs = conflict_pairs(formula)
-    lits = frame.lits
+    lits = [c.lits for c in shape.clauses]
     edges: list[tuple[str, str]] = []
     found = []  # the conflict nodes' rows
     for index, (ci, cj), (ni, nj) in pairs:
         k = conflict_id(index)
         found.append((k, f"n_{index}", "V5"))
         edges += ((k, lits[ci - 1][cj - 1]), (k, lits[ni - 1][nj - 1]))
-    edges += frame.tail_edges
+    edges += shape.tail_edges
     conflicts = [row[0] for row in found]
     cap = dict.fromkeys(conflicts, caps.conflict)
-    cap.update(dict.fromkeys(frame.sources, caps.preload_src))
+    cap.update(dict.fromkeys(shape.sources, caps.preload_src))
     cap[TERMINAL] = caps.terminal
-    added = [*conflicts, *frame.sources, TERMINAL]
-    network = frame.network.extended(added, edges, cap)
-    rows = (*frame.rows, *_node_rows(found), *frame.tail_rows)
-    inst = NcInstance(network, frame.flows, rows, formula)
+    added = [*conflicts, *shape.sources, TERMINAL]
+    network = frame.extended(added, edges, cap)
+    rows = (*shape.rows, *_node_rows(found), *shape.tail_rows)
+    inst = NcInstance(network, shape.flows, rows, formula)
     inst.__dict__["conflicts"] = pairs  # the cached property, built above
     return inst
 
@@ -385,15 +379,15 @@ def path_to_assignment(inst: NcInstance, p: Path) -> Assignment:
     formula = _require_compiled(inst)
     for v in p:
         inst.network._require(v)
+    visited = set(p)
     values: Assignment = {}
-    for i, clause in enumerate(formula.clauses, 1):
-        for j, lit in enumerate(clause, 1):
-            if lit_id(i, j) not in p:
-                continue
-            var, wanted = abs(lit), lit > 0
-            if values.get(var, wanted) != wanted:
-                raise AssignmentContradiction(var)
-            values[var] = wanted
+    for gadget, clause in zip(_gadgets(formula), formula.clauses):
+        for v, lit in zip(gadget.lits, clause):
+            if v in visited:
+                var, wanted = abs(lit), lit > 0
+                if values.get(var, wanted) != wanted:
+                    raise AssignmentContradiction(var)
+                values[var] = wanted
     return values
 
 
@@ -415,24 +409,23 @@ def assignment_plan(inst: NcInstance, a: Assignment) -> RoutePlan:
 
     It accepts 1 + (satisfied clauses) copies, and under the default
     capacities it is feasible for every assignment.  Main's route is read
-    off each clause's layout.
+    off each clause's gadget in the formula's shape.
     """
     formula = _require_compiled(inst)
     _require_total(formula, a)
-    layouts = _layouts(formula)
     main: list[str] = []
     routed: list[RouteAssignment] = []
-    for lay, clause, flow in zip(layouts, formula.clauses, inst.flows):
-        main.append(lay.entry)
+    for gadget, clause, flow in zip(_gadgets(formula), formula.clauses, inst.flows):
+        main.append(gadget.entry)
         trues = true_positions(clause, a)
         if trues:
-            chains = lay.chains
+            chains = gadget.chains
             main.append(chains[trues[0] - 1][0])
             main += [chains[j - 1][1] for j in trues]
-            main += (chains[trues[-1] - 1][2], lay.exit)
+            main += (chains[trues[-1] - 1][2], gadget.exit)
             routed.append(RouteAssignment(flow, 0, (flow.src, flow.dst)))
         else:
-            main += (lay.bypass, lay.exit)
+            main += (gadget.bypass, gadget.exit)
     main.append(TERMINAL)
     routed.append(RouteAssignment(inst.flows[-1], 0, tuple(main)))
     return RoutePlan(tuple(routed))
@@ -489,49 +482,35 @@ def audit(inst: NcInstance) -> AuditReport:
     node's peak does not fit are the realizable segments walked one by one,
     each node reported at its first overload; under the default capacities
     every peak fits, so only capacity overrides walk.  A clause's ids,
-    watched nodes and transmitter roles are read off its layout, and its
-    context's chain ids off its neighbours' layouts.
+    watched nodes and transmitter roles, context included, are read off
+    its gadget in the formula's shape.
     """
     formula = _require_compiled(inst)
     cap = inst.network.capacity
     tx = inst.network.transmit_sets
-    layouts = _layouts(formula)
-    m = len(layouts)
+    gadgets = _gadgets(formula)
     # Each pair is checked once; its failures are reported under both clauses.
     # Transmitting from both literal nodes, and the route la -> k -> lb
     # (transmitters la and k), must each overload the conflict node k.  A
-    # literal node's transmission loads k when it is k's neighbour.
-    pair_blocks: dict[int, tuple[str, bool, bool]] = {}
+    # literal node's transmission loads k when it is k's neighbour.  Per
+    # clause, (k, conflict blocked, through-route blocked) in pair order.
+    blocks: list[list[tuple[str, bool, bool]]] = [[] for _ in gadgets]
     for index, (ci, cj), (ni, nj) in inst.conflicts:
         k = conflict_id(index)
-        from_a = layouts[ci - 1].lits[cj - 1] in tx[k]
-        pair_blocks[index] = (
-            k,
-            from_a + (layouts[ni - 1].lits[nj - 1] in tx[k]) > cap[k],
-            from_a + 1 > cap[k],
-        )
+        from_a = gadgets[ci - 1].lits[cj - 1] in tx[k]
+        conflict = from_a + (gadgets[ni - 1].lits[nj - 1] in tx[k]) > cap[k]
+        blocks[ci - 1].append((k, conflict, from_a + 1 > cap[k]))
+        blocks[ni - 1].append(blocks[ci - 1][-1])
 
     failures: list[str] = []
-    for i, (lay, clause) in enumerate(zip(layouts, formula.clauses), 1):
-        pairs = inst.pairs_by_clause.get(i, ())
-        e, chains = lay.entry, lay.chains
-        watch = [*lay.watch, *[pair_blocks[p.index][0] for p in pairs]]
-        if i == m:
-            watch.append(TERMINAL)
-        # The context: the preload, the chain hop in, the chain hop out, and
-        # the next entry's first transmission (it reaches this clause's exit),
-        # the two chain ids read off the layouts of clauses i - 1 and i + 1.
-        context = [lay.source, lay.exit]
-        if i > 1:
-            context.append(layouts[i - 2].exit)
-        if i < m:
-            context.append(layouts[i].entry)
-        # Each transmitter's role: 0 context, 1 entry or literal, 2 pre, 3
-        # post; a node's room is left after the context, its peak after
-        # every segment, pre and post nodes counted once.
-        role = dict.fromkeys(context, 0)
-        role.update(lay.roles)
-        heard_by = role.get
+    for i, (gadget, clause, pairs) in enumerate(
+        zip(gadgets, formula.clauses, blocks), 1
+    ):
+        e, chains = gadget.entry, gadget.chains
+        watch = [*gadget.watch, *[block[0] for block in pairs], *gadget.last]
+        # A node's room is left after the context, its peak after every
+        # segment, pre and post nodes counted once.
+        heard_by = gadget.role.get
         room, peak = [], []
         for v in watch:
             heard = list(map(heard_by, tx[v]))
@@ -565,10 +544,9 @@ def audit(inst: NcInstance) -> AuditReport:
         ]
 
         # The route e -> bypass -> x: transmitters e and the bypass itself.
-        if (lay.bypass in tx[e]) + 1 <= room[2]:  # watch[2] is the bypass
+        if (gadget.bypass in tx[e]) + 1 <= room[2]:  # watch[2] is the bypass
             failures.append(f"clause {i}: bypass not blocked")
-        for pair in pairs:
-            k, conflict, through = pair_blocks[pair.index]
+        for k, conflict, through in pairs:
             if not conflict:
                 failures.append(f"clause {i}: conflict not blocked ({k})")
             if not through:

@@ -3,9 +3,10 @@
 Everything here is written from the ground rules only: adjacency is an
 edge-list scan, interference membership is re-derived per node, path
 enumeration is plain recursion, the plan optimum is an exhaustive sweep,
-and the greedy plan picks from the full path list.  Nothing imports the package's load or search code; the reference
-audit borrows only the compiler's node names, and the reference compile
-the clause layouts and one ``Network`` built from the full edge list.
+and the greedy plan picks from the full path list.  Nothing imports the
+package's load or search code; the reference audit borrows only the
+compiler's node names, and the reference compile those names, the
+conflict pairs and one ``Network`` built from the full edge list.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from satnc.gadget import (
     CapacityPreset,
     NcInstance,
     NodeInfo,
-    _layouts,
-    _node_rows,
     bypass_id,
     conflict_id,
     conflict_pairs,
@@ -292,45 +291,57 @@ def reference_audit(inst) -> ReferenceAudit:
 
 
 def reference_compile(formula, caps=CapacityPreset()) -> NcInstance:
-    """The compiler without its per-shape frame: every node, edge and
-    capacity listed afresh and one ``Network`` built from the full lists."""
+    """The compiler without its per-shape tables: every id, row, edge and
+    capacity built afresh from the public id functions, clause by clause,
+    and one ``Network`` built from the full lists."""
     if not formula.clauses:
         raise ValueError("cannot compile an empty formula")
-    layouts = _layouts(formula)
-    pairs = conflict_pairs(formula)
+    m = len(formula.clauses)
+    rows: list[tuple[str, str | None, str]] = []  # the node table's rows
+    cap: dict[str, int] = {}
     edges: list[tuple[str, str]] = []
-    for lay in layouts:
-        edges += lay.edges
-        edges += itertools.combinations(lay.lits, 2)
-    lits = [lay.lits for lay in layouts]
-    found = []  # the conflict nodes' rows
-    for index, (ci, cj), (ni, nj) in pairs:
+    lits: list[list[str]] = []  # per clause, its literal nodes by position
+    for i, clause in enumerate(formula.clauses, 1):
+        width = len(clause)
+        literal = width + 2 if caps.literal is None else caps.literal
+        e, x, b = entry_id(i), exit_id(i), bypass_id(i)
+        if i > 1:
+            edges.append((exit_id(i - 1), e))
+        rows += ((e, f"n_1^{i}", "V1"), (x, f"n_4^{i}", "V1"))
+        cap[e] = cap[x] = caps.entry_exit
+        row = []
+        for j in range(1, width + 1):
+            p, lit, q = prelit_id(i, j), lit_id(i, j), postlit_id(i, j)
+            rows += (
+                (p, f"n_{3 * j + 2}^{i}", "V3"),
+                (lit, f"n_{3 * j + 3}^{i}", "V2"),
+                (q, f"n_{3 * j + 4}^{i}", "V3"),
+            )
+            cap[p] = cap[q] = caps.entry_exit
+            cap[lit] = literal
+            edges += ((e, p), (p, lit), (lit, q), (q, x))
+            row.append(lit)
+        rows.append((b, f"n_{3 * width + 5}^{i}", "V4"))
+        cap[b] = caps.bypass
+        edges += ((e, b), (b, x))
+        edges += itertools.combinations(row, 2)
+        lits.append(row)
+    for index, (ci, cj), (ni, nj) in conflict_pairs(formula):
         k = conflict_id(index)
-        found.append((k, f"n_{index}", "V5"))
+        rows.append((k, f"n_{index}", "V5"))
+        cap[k] = caps.conflict
         edges += ((k, lits[ci - 1][cj - 1]), (k, lits[ni - 1][nj - 1]))
-    edges += [(lay.source, lay.bypass) for lay in layouts]
-    edges.append((layouts[-1].exit, TERMINAL))
-    conflicts = [row[0] for row in found]
-    sources = [lay.source for lay in layouts]
-    nodes = [*itertools.chain.from_iterable(lay.nodes for lay in layouts)]
-    rows = [*itertools.chain.from_iterable(lay.rows for lay in layouts)]
-    nodes += (*conflicts, *sources, TERMINAL)
-    rows += (
-        *_node_rows(found),
-        *[lay.source_row for lay in layouts],
-        NodeInfo(TERMINAL, None, "aux"),
-    )
-
-    # Capacities by role; entry, exit, pre and post nodes keep the first.
-    cap = dict.fromkeys(nodes, caps.entry_exit)
-    for lay in layouts:
-        literal = len(lay.lits) + 2 if caps.literal is None else caps.literal
-        cap.update(dict.fromkeys(lay.lits, literal))
-        cap[lay.bypass] = caps.bypass
-    cap.update(dict.fromkeys(conflicts, caps.conflict))
-    cap.update(dict.fromkeys(sources, caps.preload_src))
+    flows = []
+    for i in range(1, m + 1):
+        a, b = preload_src_id(i), bypass_id(i)
+        rows.append((a, f"A_{i}", "aux"))
+        cap[a] = caps.preload_src
+        edges.append((a, b))
+        flows.append(FlowRequest(a, b, 1, f"preload-{i}"))
+    rows.append((TERMINAL, None, "aux"))
     cap[TERMINAL] = caps.terminal
-    network = Network(nodes, edges, cap)
-    flows = tuple([lay.preload for lay in layouts])
-    flows += (FlowRequest(entry_id(1), TERMINAL, None, "main"),)
-    return NcInstance(network, flows, tuple(rows), formula)
+    edges.append((exit_id(m), TERMINAL))
+    flows.append(FlowRequest(entry_id(1), TERMINAL, None, "main"))
+    network = Network([row[0] for row in rows], edges, cap)
+    table = tuple(NodeInfo(*row) for row in rows)
+    return NcInstance(network, tuple(flows), table, formula)

@@ -25,6 +25,7 @@ from satnc import (
     conflict_pairs,
     dumps_instance,
     eval_formula,
+    loads_instance,
     max_sat_brute,
     parse_dimacs,
     path_to_assignment,
@@ -100,52 +101,17 @@ class TestCompileCounts:
         assert (main.src, main.dst, main.copies) == ("E1", "T", None)
 
 
-class TestLayoutTable:
-    """Each clause gadget's fixed part is shared through a bounded table of
-    layouts; the compiled bytes must not depend on what the table holds."""
-
-    def outputs(self, formula):
-        inst = compile_formula(formula)
-        return dumps_instance(inst).encode(), to_dot(inst).encode()
-
-    def test_golden_bytes_cold_warm_and_after_eviction(self):
-        # The mid formula has widths 1-4 and repeated literals; the goldens
-        # are what `compile --dot` writes for it.
-        table = satnc.gadget._clause_layout
-        mid = parse_dimacs((FIXTURES / "mid_formula.cnf").read_text(encoding="utf-8"))
-        golden = (
-            (FIXTURES / "mid_formula.json").read_bytes(),
-            (FIXTURES / "mid_formula.dot").read_bytes(),
-        )
-        m = len(mid.clauses)
-        table.cache_clear()
-        satnc.gadget._frame.cache_clear()
-        assert self.outputs(mid) == golden
-        assert table.cache_info().misses == m
-        assert self.outputs(mid) == golden
-        assert table.cache_info().misses == m  # a warm compile makes no new miss
-
-        # More clauses than the table holds, every literal positive so no
-        # conflict node is made: the layouts of positions 1 to 100 go.
-        maxsize = table.cache_info().maxsize
-        big = Formula.from_clauses(
-            3, [tuple(range(1, i % 3 + 2)) for i in range(maxsize + 100)]
-        )
-        table.cache_clear()
-        cold = dumps_instance(compile_formula(big))
-        assert dumps_instance(compile_formula(big)) == cold
-        info = table.cache_info()
-        assert info.currsize <= info.maxsize
-        assert self.outputs(mid) == golden
-        assert table.cache_info().misses == info.misses + m
-
-
 class TestFrame:
-    """A compile extends the network of its shape's frame; the compiled
-    bytes must not depend on which shape the frame holds."""
+    """A compile reads its clause widths' table (``_shape``) and extends
+    the network of its shape and gadget capacities (``_frame``); audits and
+    plans read the widths' table.  Each table holds one entry, and no
+    result may depend on which shape they hold."""
 
     def test_golden_bytes_cold_warm_and_after_eviction(self, worked_formula):
-        frame = satnc.gadget._frame
+        # The mid formula has widths 1-4 and repeated literals; the goldens
+        # are what `compile --dot` writes for it, by default and under
+        # `--caps v4=5,v5=2`.
+        shape, frame = satnc.gadget._shape, satnc.gadget._frame
         mid = parse_dimacs((FIXTURES / "mid_formula.cnf").read_text(encoding="utf-8"))
         golden = {
             stem: (
@@ -154,25 +120,65 @@ class TestFrame:
             )
             for stem in ("mid_formula", "mid_formula_caps")
         }
-        # What `compile --caps v4=5,v5=2` builds: the bypass capacity is part
-        # of the frame's shape, so this evicts the default frame.
+        # The bypass capacity keys the frame, so this evicts the default
+        # frame; the widths' table keeps its entry.
         raised = CapacityPreset(bypass=5, conflict=2)
 
         def outputs(caps=CapacityPreset()):
             inst = compile_formula(mid, caps)
             return dumps_instance(inst).encode(), to_dot(inst).encode()
 
+        shape.cache_clear()
         frame.cache_clear()
         assert outputs() == golden["mid_formula"]  # cold
         assert outputs() == golden["mid_formula"]  # warm
         assert frame.cache_info()[:2] == (1, 1)
         assert outputs(raised) == golden["mid_formula_caps"]
+        assert frame.cache_info()[:2] == (1, 2)
+        assert shape.cache_info().misses == 1
         worked = compile_formula(worked_formula)  # another shape
         assert worked == reference_compile(worked_formula)
         assert frame.cache_info()[:3] == (1, 3, 1)  # one entry, the last shape
-        assert outputs() == golden["mid_formula"]  # evicted, built again
-        assert outputs(raised) == golden["mid_formula_caps"]
+        assert shape.cache_info()[1:4] == (2, 1, 1)
+        assert outputs(raised) == golden["mid_formula_caps"]  # both built again
+        assert outputs() == golden["mid_formula"]
         assert frame.cache_info()[:2] == (1, 5)
+        assert shape.cache_info().misses == 3
+
+    @pytest.mark.parametrize(
+        "caps", [CapacityPreset(), CapacityPreset(literal=3)], ids=["default", "v2=3"]
+    )
+    def test_loaded_instance_audits_and_plans_whatever_the_table_holds(
+        self, worked_formula, caps
+    ):
+        # A loaded instance has no compile of its own behind it: its audit
+        # and plans read the widths' table, which holds another shape here.
+        table = satnc.gadget._shape
+        mid = parse_dimacs((FIXTURES / "mid_formula.cnf").read_text(encoding="utf-8"))
+        inst = compile_formula(mid, caps)
+        failures = reference_audit(inst).failures
+        assert audit(inst).failures == failures
+        assert audit(inst).ok == (caps == CapacityPreset())
+        assignments = [
+            dict(enumerate(bits, 1))
+            for bits in itertools.product((False, True), repeat=mid.var_count)
+        ]
+        plans = [assignment_plan(inst, a) for a in assignments]
+        paths = [plan.assignments[-1].path for plan in plans]
+        loaded = loads_instance(dumps_instance(inst))
+        reads = [
+            (lambda: audit(loaded).failures, failures),
+            (lambda: [assignment_plan(loaded, a) for a in assignments], plans),
+            (
+                lambda: [path_to_assignment(loaded, p) for p in paths],
+                [path_to_assignment(inst, p) for p in paths],
+            ),
+        ]
+        for read, expected in reads:
+            compile_formula(worked_formula)
+            misses = table.cache_info().misses
+            assert read() == expected
+            assert table.cache_info().misses == misses + 1  # another shape held
 
     # The first node of each field's role in the worked example, which has
     # conflict nodes: the node a whole-list build rejects first.
