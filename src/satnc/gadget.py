@@ -331,8 +331,8 @@ def compile_formula(
     the formula is satisfiable; with any clause unsatisfied the main flow
     can only cross that clause by overloading its bypass.  The clause
     gadgets' network comes from ``_frame`` and their ids, rows, tail and
-    flows from ``_shape``, each built when the shape differs from the last
-    one compiled; only the conflict nodes, the preloads' sources, the
+    flows from ``_shape``, each built when its key differs from the one
+    it holds; only the conflict nodes, the preloads' sources, the
     terminal, their edges and their capacities are added per call.  The
     result is the network the whole node and edge lists would build,
     transmit order included.
