@@ -101,6 +101,43 @@ class TestCompileCounts:
         assert (main.src, main.dst, main.copies) == ("E1", "T", None)
 
 
+class TestLayoutTable:
+    """Every clause gadget's layout (ids, rows, internal edges, audit roles)
+    is shared through the widths' table (``_shape``); the compiled bytes
+    must not depend on what the table holds."""
+
+    def outputs(self, formula):
+        inst = compile_formula(formula)
+        return dumps_instance(inst).encode(), to_dot(inst).encode()
+
+    def test_golden_bytes_cold_warm_and_after_eviction(self):
+        # The mid formula has widths 1-4 and repeated literals; the goldens
+        # are what `compile --dot` writes for it.
+        table = satnc.gadget._shape
+        mid = parse_dimacs((FIXTURES / "mid_formula.cnf").read_text(encoding="utf-8"))
+        golden = (
+            (FIXTURES / "mid_formula.json").read_bytes(),
+            (FIXTURES / "mid_formula.dot").read_bytes(),
+        )
+        satnc.gadget._frame.cache_clear()
+        table.cache_clear()
+        assert self.outputs(mid) == golden
+        assert table.cache_info().misses == 1
+        assert self.outputs(mid) == golden
+        assert table.cache_info().misses == 1  # every layout reused
+
+        # A long formula of another shape, every literal positive so no
+        # conflict node is made: it evicts the mid formula's layouts.
+        big = Formula.from_clauses(3, [tuple(range(1, i % 3 + 2)) for i in range(300)])
+        cold = compile_formula(big)
+        assert cold == reference_compile(big)
+        assert dumps_instance(compile_formula(big)) == dumps_instance(cold)
+        info = table.cache_info()
+        assert info.misses == 2 and info.currsize == 1
+        assert self.outputs(mid) == golden
+        assert table.cache_info().misses == info.misses + 1
+
+
 class TestFrame:
     """A compile reads its clause widths' table (``_shape``) and extends
     the network of its shape and gadget capacities (``_frame``); audits and
