@@ -77,7 +77,8 @@ class CapacityPreset:
 
     ``literal=None`` gives each clause's literal nodes its width + 2: on a
     segment through its clause, a literal node hears every literal of the
-    clause plus its own pre and post nodes, and no more.
+    clause plus its own pre and post nodes, and no more.  The network
+    decides what a capacity may be; a compile raises its error for any other.
     """
 
     entry_exit: int = 3  # entry/exit nodes and the pre/post literal chain
@@ -295,7 +296,7 @@ def _shape(widths: tuple[int, ...]) -> _Shape:
     )
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1, typed=True)
 def _frame(
     widths: tuple[int, ...], entry_exit: int, literal: int | None, bypass: int
 ) -> Network:
@@ -305,7 +306,8 @@ def _frame(
     conflict nodes, the preloads' sources, the terminal and their edges.
     The table has one entry, the last (shape, capacities) compiled, whose
     transmit tuples compiled instances share: about 1.2 KB per width-3
-    clause.  Only exact ints and None may key it (see ``compile_formula``).
+    clause.  It is keyed by value and type, so ``True`` and ``3.0`` miss
+    the entries of ``1`` and ``3`` and reach the network, which rejects them.
     """
     shape = _shape(widths)
     nodes = [row[0] for row in shape.rows]
@@ -332,20 +334,15 @@ def compile_formula(
     can only cross that clause by overloading its bypass.  The clause
     gadgets' network comes from ``_frame`` and their ids, rows, tail and
     flows from ``_shape``, each built when its key differs from the one
-    it holds; only the conflict nodes, the preloads' sources, the
-    terminal, their edges and their capacities are added per call.  The
-    result is the network the whole node and edge lists would build,
-    transmit order included.
+    it holds, capacities by value and type; only the conflict nodes, the
+    preloads' sources, the terminal, their edges and their capacities are
+    added per call.  The result is the network the whole node and edge
+    lists would build, transmit order and capacity errors included.
     """
     if not formula.clauses:
         raise ValueError("cannot compile an empty formula")
     widths = tuple(map(len, formula.clauses))
-    shaped = (caps.entry_exit, caps.literal, caps.bypass)
-    # True == 1 and 3.0 == 3, so they would find an int's frame, yet
-    # neither is a capacity: any value but an exact int or None builds its
-    # frame uncached, where the network rejects it as for any compile.
-    exact = all(type(c) is int for c in shaped if c is not None)
-    frame = (_frame if exact else _frame.__wrapped__)(widths, *shaped)
+    frame = _frame(widths, caps.entry_exit, caps.literal, caps.bypass)
     shape = _shape(widths)
     pairs = conflict_pairs(formula)
     lits = [c.lits for c in shape.clauses]
@@ -483,9 +480,17 @@ def audit(inst: NcInstance) -> AuditReport:
     each node reported at its first overload; under the default capacities
     every peak fits, so only capacity overrides walk.  A clause's ids,
     watched nodes and transmitter roles, context included, are read off
-    its gadget in the formula's shape.
+    its gadget in the formula's shape.  An instance that lacks one of its
+    formula's gadget nodes raises ValueError.
     """
     formula = _require_compiled(inst)
+    try:
+        return AuditReport(_audit_failures(inst, formula))
+    except KeyError as exc:  # only a node id can miss the network's tables
+        raise ValueError(f"instance lacks gadget node {exc.args[0]!r}") from None
+
+
+def _audit_failures(inst: NcInstance, formula: Formula) -> tuple[str, ...]:
     cap = inst.network.capacity
     tx = inst.network.transmit_sets
     gadgets = _gadgets(formula)
@@ -551,4 +556,4 @@ def audit(inst: NcInstance) -> AuditReport:
                 failures.append(f"clause {i}: conflict not blocked ({k})")
             if not through:
                 failures.append(f"clause {i}: conflict through-route not blocked ({k})")
-    return AuditReport(tuple(failures))
+    return tuple(failures)

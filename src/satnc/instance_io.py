@@ -91,7 +91,6 @@ def instance_from_dict(data: dict) -> NcInstance:
             and isinstance(v, str)
             and (paper_index is None or isinstance(paper_index, str))
             and isinstance(subset, str)
-            and isinstance(c, int)
         ):
             raise _malformed(_NODES_SHAPE)
         table.append(NodeInfo(v, paper_index, subset))

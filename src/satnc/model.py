@@ -178,9 +178,8 @@ class FlowRequest:
     def __post_init__(self) -> None:
         if self.src == self.dst:
             raise ValueError(f"flow {self.label!r}: source equals destination")
-        if self.copies is not None and (
-            isinstance(self.copies, bool) or self.copies < 1
-        ):
+        c = self.copies
+        if c is not None and (not isinstance(c, int) or isinstance(c, bool) or c < 1):
             raise ValueError(f"flow {self.label!r}: copies must be a positive integer")
 
 

@@ -484,9 +484,10 @@ def _malformed_cases() -> dict[str, object]:
     data = _worked_dict()
     data["nodes"][5]["capacity"] = True
     cases["capacity a bool"] = data
-    data = _worked_dict()
-    data["nodes"][5]["capacity"] = -1
-    cases["capacity negative"] = data
+    for name, capacity in (("negative", -1), ("a float", 3.0), ("a string", "3")):
+        data = _worked_dict()
+        data["nodes"][5]["capacity"] = capacity
+        cases[f"capacity {name}"] = data
     data = _worked_dict()
     data["flows"][1]["dst"] = "Z9"
     cases["flow to an unknown node"] = data
@@ -512,6 +513,8 @@ _NOT_A_LIST = "error: malformed instance: {!r} must be a list\n"
 _MALFORMED_ERRORS = {
     "capacity a bool": "error: capacity of 'P1.2' must be a non-negative integer\n",
     "capacity negative": "error: capacity of 'P1.2' must be a non-negative integer\n",
+    "capacity a float": "error: capacity of 'P1.2' must be a non-negative integer\n",
+    "capacity a string": "error: capacity of 'P1.2' must be a non-negative integer\n",
     "copies a bool": "error: flow 'preload-1': copies must be a positive integer\n",
     "copies a word": (
         'error: malformed instance: flow copies must be an integer or "unbounded"\n'

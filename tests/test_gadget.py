@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import random
 
 import pytest
@@ -249,6 +250,20 @@ class TestFrame:
             compile_formula(worked_formula, invalid)
         assert str(got.value) == message
 
+    @pytest.mark.parametrize(
+        "field, bad", [("literal", True), ("entry_exit", 3.0), ("bypass", -1)]
+    )
+    def test_invalid_capacity_leaves_the_held_frame(self, worked_formula, field, bad):
+        # A build the network rejects stores nothing and evicts nothing.
+        frame = satnc.gadget._frame
+        frame.cache_clear()
+        compile_formula(worked_formula)
+        with pytest.raises(ValueError):
+            compile_formula(worked_formula, CapacityPreset(**{field: bad}))
+        assert frame.cache_info()[:4] == (0, 2, 1, 1)
+        compile_formula(worked_formula)
+        assert frame.cache_info()[:2] == (1, 2)
+
 
 def identical(inst, ref):
     """The compile matches the reference byte for byte and row for row."""
@@ -430,6 +445,17 @@ class TestAudit:
         failures = audit(rebuilt).failures
         assert failures == audit(inst).failures
         assert any("conflict not blocked" in f for f in failures)
+
+    @pytest.mark.parametrize("node", ["Q1.2", "K1"])
+    def test_loaded_instance_missing_a_gadget_node(self, worked_instance, node):
+        # The file loads: only the audit reads every gadget node by id.
+        data = json.loads(dumps_instance(worked_instance))
+        data["nodes"] = [n for n in data["nodes"] if n["id"] != node]
+        data["edges"] = [e for e in data["edges"] if node not in e]
+        loaded = loads_instance(json.dumps(data))
+        with pytest.raises(ValueError) as got:
+            audit(loaded)
+        assert str(got.value) == f"instance lacks gadget node {node!r}"
 
 
 def test_audit_matches_reference_audit():

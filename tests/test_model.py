@@ -230,6 +230,14 @@ class TestPathLoad:
             plan_load(net, plan_of(net, ("A", "B", "A", "B")))
 
 
+class TestFlowRequest:
+    @pytest.mark.parametrize("copies", [0, -1, True, 2.5, 2.0, "2"])
+    def test_invalid_copies(self, copies):
+        with pytest.raises(ValueError) as got:
+            FlowRequest("A", "B", copies, "f")
+        assert str(got.value) == "flow 'f': copies must be a positive integer"
+
+
 class TestPlanLoad:
     def test_empty_plan(self):
         net = path_graph("ABC")
