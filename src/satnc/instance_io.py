@@ -22,33 +22,6 @@ _SUBSET_SHAPES = {
 }
 
 
-def instance_to_dict(inst: NcInstance) -> dict:
-    cap = inst.network.capacity
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "nodes": [
-            {
-                "id": v,
-                "paper_index": paper_index,
-                "subset": subset,
-                "capacity": cap[v],
-            }
-            for v, paper_index, subset in inst.node_table
-        ],
-        "edges": [list(e) for e in inst.network.edges()],
-        "flows": [
-            {
-                "src": f.src,
-                "dst": f.dst,
-                "copies": f.copies if f.copies is not None else "unbounded",
-                "label": f.label,
-            }
-            for f in inst.flows
-        ],
-        "formula": emit_dimacs(inst.formula) if inst.formula is not None else None,
-    }
-
-
 _NODES_SHAPE = (
     "each of 'nodes' must be an object with fields id, paper_index, subset, capacity"
 )
@@ -106,7 +79,6 @@ def instance_from_dict(data: dict) -> NcInstance:
             isinstance(f, dict)
             and isinstance(src, str)
             and isinstance(dst, str)
-            and isinstance(copies, (int, str))
             and isinstance(label, str)
         ):
             raise _malformed(_FLOWS_SHAPE)
@@ -147,8 +119,12 @@ def _json_string(text: str | None) -> str:
 
 
 def dumps_instance(inst: NcInstance) -> str:
-    """``json.dumps(instance_to_dict(inst), indent=2)`` plus a newline, byte
-    for byte, written here: json lays out ``indent`` in pure Python."""
+    """Schema v1 text of the instance, the format's one writer: each node's
+    id, paper index, subset and capacity; each edge once, sorted; each
+    flow's ends, copies (``"unbounded"`` for None) and label; the formula's
+    DIMACS text or null.  Laid out byte for byte as ``json.dumps`` with
+    ``indent=2`` lays out the same data, plus a newline, but written here:
+    json lays out ``indent`` in pure Python."""
     q = encode_basestring_ascii
     cap = inst.network.capacity
     nodes = [
@@ -173,6 +149,11 @@ def dumps_instance(inst: NcInstance) -> str:
         f'  "flows": {_json_array(flows)},\n'
         f'  "formula": {formula}\n}}\n'
     )
+
+
+def instance_to_dict(inst: NcInstance) -> dict:
+    """The instance as the JSON object ``dumps_instance`` writes."""
+    return json.loads(dumps_instance(inst))
 
 
 def loads_instance(text: str) -> NcInstance:

@@ -11,7 +11,7 @@ from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator
 
 from .gadget import NcInstance
-from .model import Network, Path, RouteAssignment, RoutePlan, check_feasible
+from .model import Network, Path, RouteAssignment, RoutePlan, check_feasible, hops_load
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -33,7 +33,8 @@ class SolveResult:
 
 
 class _Router:
-    """Elementary s-t paths of one network, searched on demand.
+    """Elementary s-t paths of one network, searched on demand for
+    ``solve_exact``.
 
     Its tables come from one read of the network's transmit sets: ``ids``,
     the node ids sorted, so index tuples compare as id tuples do; ``index``,
@@ -72,20 +73,6 @@ class _Router:
         for u in transmitters:
             for v in tx[u]:
                 room[v] += n
-
-    def _hops(self, t: int) -> list[int]:
-        """Hops to ``t`` from every node, breadth first; ``len(adj)``, more
-        than any path has, from nodes that cannot reach it."""
-        adj, far = self.adj, len(self.adj)
-        dist = [far] * far
-        dist[t] = 0
-        queue = [t]
-        for u in queue:  # the queue grows as it is read
-            for w in adj[u]:
-                if dist[w] == far:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return dist
 
     @functools.cached_property
     def _relays(self) -> tuple[list[int], list[tuple[int, list[int]]]]:
@@ -318,11 +305,18 @@ def _state_key(
 ) -> Callable[[list], tuple]:
     """The key of a search state at separator ``c``: the room of each node
     in ``raw``, and the t-side relays ``x`` that some ``(v, x)`` of ``sole``
-    blocks by having no room left at ``v``."""
+    blocks by having no room left at ``v``, as one bitmask over the relays
+    ``sole`` names, one bit each."""
     rooms = itemgetter(*raw) if raw else lambda room: ()
+    bit = {x: 1 << i for i, x in enumerate(dict.fromkeys(x for _, x in sole))}
+    pairs = [(v, bit[x]) for v, x in sole]
 
     def key(room: list) -> tuple:
-        return c, rooms(room), frozenset([x for v, x in sole if room[v] <= 0])
+        blocked = 0
+        for v, b in pairs:
+            if room[v] <= 0:
+                blocked |= b
+        return c, rooms(room), blocked
 
     return key
 
@@ -508,28 +502,34 @@ def solve_greedy(inst: NcInstance) -> SolveResult:
     shortest, lexicographically first among its peers, from one breadth-first
     walk per flow that ignores load.  A demand stops at its first copy that
     does not fit.  Polynomial, and never certified optimal."""
-    router = _Router(inst.network)
-    adj, tx = router.adj, router.tx
-    room = list(router.capacity)
+    net = inst.network
+    tx = net.transmit_sets
+    room = dict(net.capacity)
     plan: list[RouteAssignment] = []
     for flow in inst.flows:
-        s, t = router.index[flow.src], router.index[flow.dst]
-        hops = router._hops(t)
-        if hops[s] == len(adj):
-            continue  # t is out of reach
-        # Index order is id order, so the smallest neighbour one hop nearer
-        # at each step gives the lexicographically first shortest path.
-        path = [s]
-        while path[-1] != t:
-            near = hops[path[-1]] - 1
-            path.append(next(w for w in adj[path[-1]] if hops[w] == near))
-        ids = router.path_ids(tuple(path))
-        for ci in itertools.count() if flow.copies is None else range(flow.copies):
-            router.charge(room, path[:-1], -1)
-            if any(room[v] < 0 for u in path[:-1] for v in tx[u]):
-                router.charge(room, path[:-1], 1)
-                break
-            plan.append(RouteAssignment(flow, ci, ids))
+        s, t = flow.src, flow.dst
+        hops = {t: 0}  # to t, from each node that reaches it
+        queue = [t]
+        for u in queue:  # the queue grows as it is read
+            for w in tx[u][1:]:
+                if w not in hops:
+                    hops[w] = hops[u] + 1
+                    queue.append(w)
+        if s not in hops:
+            continue
+        # The smallest id one hop nearer at each step gives the
+        # lexicographically first shortest path.
+        trail = [s]
+        while trail[-1] != t:
+            near = hops[trail[-1]] - 1
+            trail.append(min(w for w in tx[trail[-1]][1:] if hops.get(w) == near))
+        path = tuple(trail)
+        load = hops_load(net, zip(path, path[1:])).items()
+        fits = min(room[v] // n for v, n in load)
+        count = fits if flow.copies is None else min(fits, flow.copies)
+        for v, n in load:
+            room[v] -= n * count
+        plan += (RouteAssignment(flow, ci, path) for ci in range(count))
     return SolveResult(RoutePlan(tuple(plan)), optimal=False)
 
 

@@ -466,9 +466,10 @@ def _malformed_cases() -> dict[str, object]:
     data = _worked_dict()
     data["nodes"][0] = "E1"
     cases["node not an object"] = data
-    data = _worked_dict()
-    data["flows"][0]["copies"] = "many"
-    cases["copies a word"] = data
+    for name, copies in (("a word", "many"), ("a float", 2.5), ("null", None)):
+        data = _worked_dict()
+        data["flows"][0]["copies"] = copies
+        cases[f"copies {name}"] = data
     data = _worked_dict()
     data["flows"][0]["copies"] = True
     cases["copies a bool"] = data
@@ -507,18 +508,20 @@ _NODES_SHAPE = (
 )
 _EDGES_SHAPE = "error: malformed instance: 'edges' must be a list of node-id pairs\n"
 _NOT_A_LIST = "error: malformed instance: {!r} must be a list\n"
+_COPIES = 'error: malformed instance: flow copies must be an integer or "unbounded"\n'
 
 # The whole stderr of every malformed case, as the loader wrote it before it
-# read each field with one subscript and the network kept one table per node.
+# read each field with one subscript and the network kept one table per node;
+# a float or null copy count then got the flow-shape message instead.
 _MALFORMED_ERRORS = {
     "capacity a bool": "error: capacity of 'P1.2' must be a non-negative integer\n",
     "capacity negative": "error: capacity of 'P1.2' must be a non-negative integer\n",
     "capacity a float": "error: capacity of 'P1.2' must be a non-negative integer\n",
     "capacity a string": "error: capacity of 'P1.2' must be a non-negative integer\n",
     "copies a bool": "error: flow 'preload-1': copies must be a positive integer\n",
-    "copies a word": (
-        'error: malformed instance: flow copies must be an integer or "unbounded"\n'
-    ),
+    "copies a float": _COPIES,
+    "copies null": _COPIES,
+    "copies a word": _COPIES,
     "duplicate node id": "error: duplicate node ids\n",
     "edge 'E1-B1'": _EDGES_SHAPE,
     "edge ['E1', 'B1', 'X1']": _EDGES_SHAPE,

@@ -88,8 +88,20 @@ class TestJson:
     def test_writer_matches_json_dumps(self, name):
         inst = _writer_cases()[name]
         text = dumps_instance(inst)
+        # instance_to_dict reads the text back: this pins its layout to json's.
         assert text == json.dumps(instance_to_dict(inst), indent=2) + "\n"
         assert loads_instance(text) == inst
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted(FIXTURES.glob("witness_caps_*/witness-trial-*.json")),
+        ids=lambda p: f"{p.parent.name}/{p.name}",
+    )
+    def test_witness_instance_round_trips(self, path):
+        # The committed witness bytes pin the dict that instance_to_dict
+        # derives from dumps_instance.
+        data = json.loads(path.read_text(encoding="utf-8"))["instance"]
+        assert instance_to_dict(instance_from_dict(data)) == data
 
     def test_id_map_round_trips(self, worked_instance):
         back = loads_instance(dumps_instance(worked_instance))

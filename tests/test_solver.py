@@ -464,6 +464,29 @@ class TestSeparators:
         # a2 relays on the s side and b2 on the t side: neither is read.
         assert moved(a2, 0) == moved(b2, 1) == base
 
+    def test_key_names_each_blocked_relay_once(self):
+        # Every path runs s, a, c, then b1 or b2.  The capacity-1 nodes p1
+        # and p2 are heard by a and by b1 alone on c's t side, p3 by a and
+        # by b2 alone.
+        edges = [("s", "a"), ("a", "c"), ("c", "b1"), ("c", "b2"), ("b1", "t"),
+                 ("b2", "t"), ("a", "p1"), ("a", "p2"), ("a", "p3"),
+                 ("b1", "p1"), ("b1", "p2"), ("b2", "p3")]
+        nodes = sorted({v for e in edges for v in e})
+        caps = {v: 1 if v.startswith("p") else 3 for v in nodes}
+        router = _Router(make_network(nodes, edges, caps))
+        c = router.index["c"]
+        key = router._separators(router.index["s"], router.index["t"])[c]
+
+        def drained(v):
+            room = list(router.capacity)
+            room[router.index[v]] = 0
+            return key(room)
+
+        # p1 and p2 block the same relay, b1; p3 blocks b2.
+        assert drained("p1") == drained("p2")
+        assert drained("p1") != drained("p3")
+        assert drained("p1") != key(list(router.capacity))
+
     @pytest.mark.parametrize(
         "edges, caps",
         [
