@@ -160,10 +160,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
-    if args.mode == "exact":
-        result = solve_exact(inst, budget=args.budget)
-    else:
-        result = solve_greedy(inst)
+    # Greedy's plan is the first incumbent: a solve cut short prints at least it.
+    result = solve_exact(inst, budget=args.budget, start=solve_greedy(inst).plan)
     if args.json:
         print(
             json.dumps(
@@ -189,8 +187,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     for a in result.plan.assignments:
         print(f"flow {a.flow.label} copy {a.copy + 1}: {' '.join(a.path)}")
     _print_loads(inst, result.plan)
-    if args.mode == "exact":
-        print(f"nodes explored: {result.nodes_explored}")
+    print(f"nodes explored: {result.nodes_explored}")
     return 0
 
 
@@ -308,9 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("solve", help="run a solver on an instance")
+    p = sub.add_parser("solve", help="solve an instance exactly, from greedy's plan")
     p.add_argument("--instance", required=True)
-    p.add_argument("--mode", choices=("exact", "greedy"), default="exact")
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_solve)

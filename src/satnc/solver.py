@@ -1,4 +1,4 @@
-"""Exact and greedy flow-admission solvers plus the hardness-bound constant."""
+"""Exact flow admission, seeded by a greedy plan, and the hardness bound."""
 
 from __future__ import annotations
 
@@ -499,18 +499,22 @@ def _check_start(
 
 def solve_greedy(inst: NcInstance) -> SolveResult:
     """Admit copies in demand order, each flow over one fixed path: its
-    shortest, lexicographically first among its peers, from one breadth-first
-    walk per flow that ignores load.  A demand stops at its first copy that
-    does not fit.  Polynomial, and never certified optimal."""
+    shortest, lexicographically first among its peers, from a breadth-first
+    walk from its destination that ignores load and stops once it labels the
+    source, when every node nearer is labelled.  A demand stops at its first
+    copy that does not fit.  Polynomial, feasible (``satnc solve`` seeds
+    ``solve_exact`` with it) and never certified optimal."""
     net = inst.network
     tx = net.transmit_sets
     room = dict(net.capacity)
     plan: list[RouteAssignment] = []
     for flow in inst.flows:
         s, t = flow.src, flow.dst
-        hops = {t: 0}  # to t, from each node that reaches it
+        hops = {t: 0}  # to t, from each node the walk labels
         queue = [t]
         for u in queue:  # the queue grows as it is read
+            if s in hops:
+                break
             for w in tx[u][1:]:
                 if w not in hops:
                     hops[w] = hops[u] + 1

@@ -377,7 +377,7 @@ def test_check_and_solve_match_golden(compiled, capsys, case):
 
 class TestSolve:
     def test_exact_worked_example(self, compiled, capsys):
-        code = main(["solve", "--instance", str(compiled), "--mode", "exact"])
+        code = main(["solve", "--instance", str(compiled)])
         out = capsys.readouterr().out
         assert code == 0
         assert "accepted: 4 (optimal)" in out
@@ -388,7 +388,7 @@ class TestSolve:
         out = tmp_path / "pair.json"
         main(["compile", "--cnf", str(cnf), "--out", str(out)])
         capsys.readouterr()
-        code = main(["solve", "--instance", str(out), "--mode", "exact", "--json"])
+        code = main(["solve", "--instance", str(out), "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["accepted"] == 2 and payload["optimal"]
@@ -398,18 +398,35 @@ class TestSolve:
         # ran past the interpreter's recursion limit here.
         inst = tmp_path / "long.json"
         save_instance(compile_formula(Formula.from_clauses(3, [(1, 2, 3)] * 600)), inst)
-        code = main(["solve", "--instance", str(inst), "--mode", "exact", "--json"])
+        code = main(["solve", "--instance", str(inst), "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["accepted"] == 601 and payload["optimal"]
 
-    def test_greedy_below_exact_on_gap_fixture(self, capsys):
+    def test_one_node_budget_prints_greedy_plan(self, capsys):
+        # Greedy's plan is the first incumbent; a cold search, cut at its
+        # root, printed the empty plan.
         gap = FIXTURES / "greedy_gap.json"
-        main(["solve", "--instance", str(gap), "--mode", "greedy", "--json"])
-        greedy = json.loads(capsys.readouterr().out)
-        main(["solve", "--instance", str(gap), "--mode", "exact", "--json"])
-        exact = json.loads(capsys.readouterr().out)
-        assert greedy["accepted"] == 1 and exact["accepted"] == 3
+        assert main(["solve", "--instance", str(gap), "--budget", "1", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["accepted"] == 1 and not payload["optimal"]
+        assert payload["plan"] == [{"flow": "bulk", "copy": 0, "path": ["S", "M", "D"]}]
+
+    def test_budget_hit_on_large_compile_keeps_the_preloads(self, tmp_path, capsys):
+        # 2,421 nodes: 100 search nodes route no main flow, and a cold
+        # search printed 0 accepted.
+        inst = tmp_path / "large.json"
+        save_instance(compile_formula(random_formula(20, 100, 3, 7)), inst)
+        assert main(["solve", "--instance", str(inst), "--budget", "100", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["accepted"] == 100 and not payload["optimal"]
+
+    def test_mode_option_is_gone(self, compiled, capsys):
+        # One solve path: greedy only seeds the exact search.
+        with pytest.raises(SystemExit) as raised:
+            main(["solve", "--instance", str(compiled), "--mode", "greedy"])
+        assert raised.value.code == 2
+        assert "unrecognized arguments: --mode greedy" in capsys.readouterr().err
 
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_budget_below_one_exit_2(self, compiled, capsys, budget):
@@ -432,11 +449,10 @@ class TestSolve:
         data["flows"] *= 2
         inst = tmp_path / "twice.json"
         inst.write_text(json.dumps(data))
-        for mode in ("exact", "greedy"):
-            code = main(["solve", "--instance", str(inst), "--mode", mode])
-            captured = capsys.readouterr()
-            assert code == 2 and captured.out == ""
-            assert captured.err == f"error: {message}\n"
+        code = main(["solve", "--instance", str(inst)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 def test_parser_built_once():
@@ -553,7 +569,7 @@ class TestMalformedInstance:
     @pytest.mark.parametrize("name", sorted(_malformed_cases()))
     @pytest.mark.parametrize(
         "command",
-        [["solve", "--mode", "exact"], ["check", "--path", "E1,B1"]],
+        [["solve"], ["check", "--path", "E1,B1"]],
         ids=["solve", "check"],
     )
     def test_exit_2_without_traceback(self, tmp_path, capsys, name, command):
@@ -567,7 +583,7 @@ class TestMalformedInstance:
 
 @pytest.mark.parametrize(
     "command",
-    [["solve", "--mode", "exact"], ["check", "--path", "E1,T"]],
+    [["solve"], ["check", "--path", "E1,T"]],
     ids=["solve", "check"],
 )
 def test_deeply_nested_json_exit_2(tmp_path, capsys, command):
@@ -595,7 +611,7 @@ def _flows_of(name: str, flows: list) -> list:
     [
         ["check", "--assignment", A1_LITERALS],
         ["check", "--path", "E1,B1,X1"],
-        ["solve", "--mode", "exact"],
+        ["solve"],
     ],
     ids=["check-assignment", "check-path", "solve"],
 )
